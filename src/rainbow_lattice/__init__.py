@@ -6,6 +6,9 @@ families, closed-form values with exact-rational checks, and a
 reproducible verification harness.
 """
 
+# the one version literal; pyproject.toml reads it from here
+__version__ = "0.1.0"
+
 from .bounds import (FormulaValue, binary_entropy, delta_l, eq_inequality_check,
                      formula_A2, g_of_l, known_value, m_of_l, solve_c0)
 from .coloring import (ClassStats, Coloring, PosetFamily, RainbowWitness,
@@ -14,7 +17,7 @@ from .constructions import (ChainFamily, ConstructionReport, chain_family_colori
                             chain_interval_coloring, chain_overlap_check,
                             incomparable_traces, lift3_coloring, p3_total_coloring,
                             pk_coloring, random_chain_family)
-from .lattice import (ANALYTIC_CAP, CANONICAL_CAP, ENUMERATION_CAP, Interval,
+from .lattice import (ANALYTIC_CAP, CANONICAL_CAP, ENUMERATION_CAP, KERNEL_CAP, Interval,
                       comparable, cone, cone_size, format_subset, interval_members,
                       interval_size, parse_subset)
 from .posets import Poset, build_poset, find_copy
@@ -23,10 +26,8 @@ from .solver import (ChainDecomposition, CrossSpernerResult, GreedyCoverReport,
                      greedy_tuples_and_cover, solve_min_class)
 from .verify import VerificationReport, verify_suite
 
-__version__ = "0.1.0"
-
 __all__ = [
-    "ANALYTIC_CAP", "CANONICAL_CAP", "ENUMERATION_CAP",
+    "ANALYTIC_CAP", "CANONICAL_CAP", "ENUMERATION_CAP", "KERNEL_CAP",
     "ChainDecomposition", "ChainFamily", "ClassStats", "Coloring",
     "ConstructionReport", "CrossSpernerResult", "FormulaValue",
     "GreedyCoverReport", "Interval", "Poset", "PosetFamily", "RainbowWitness",

@@ -7,11 +7,11 @@ import argparse
 import json
 import sys
 
+from . import __version__
 from . import bounds as bounds_mod
 from .coloring import Coloring, PosetFamily, class_stats, validate
 from .constructions import chain_overlap_check, random_chain_family
-from .experiments import (VERSION, build_construction, congen_trial_rows,
-                          _rows_to_csv, run_experiment)
+from .experiments import build_construction, congen_trial_rows, _rows_to_csv, run_experiment
 from .lattice import parse_subset
 from .posets import build_poset, find_copy
 from .solver import az_decompose, solve_min_class
@@ -167,11 +167,11 @@ def main(argv=None) -> int:
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--budget", type=int, default=10 ** 9)
     common.add_argument("--out", default=None)
-    common.add_argument("--format", choices=("json", "text", "csv"), default="json")
+    common.add_argument("--format", choices=("json", "text"), default="json")
 
     top = argparse.ArgumentParser(prog="rainbow-lattice",
                                   description="rainbow-subposet-free colorings of B_n")
-    top.add_argument("--version", action="version", version=VERSION)
+    top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", parents=[common], help="generate a coloring")

@@ -10,6 +10,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from . import lattice
+from .kernel import RainbowKernel
 from .posets import Poset, build_poset, embed_poset
 
 UNCOLORED = 0
@@ -137,24 +138,36 @@ def _applicable_members(c: Coloring, forbidden: PosetFamily, warn: bool = True):
     return out
 
 
+def _has_copy(c: Coloring, members, mode: str, must: int | None) -> bool:
+    """Whether some member has a rainbow copy (through must, when given):
+    the bitset kernel up to lattice.KERNEL_CAP, embed_poset above it."""
+    if not members:
+        return False
+    if must is not None and not (0 <= must < len(c.assign) and c.assign[must]):
+        return False
+    if c.n <= lattice.KERNEL_CAP:
+        kernel = RainbowKernel(c.n, c.l, members, mode, c.assign)
+        if must is None:
+            return kernel.scan()
+        kernel.mark_all()
+        return kernel.through(must)
+    universe = c.colored_ids()
+    required = () if must is None else (must,)
+    return any(embed_poset(p, mode, universe, labels=c.assign,
+                           required=required, n=c.n) is not None for p in members)
+
+
 def has_rainbow(c: Coloring, forbidden: PosetFamily, containing: int | None = None) -> bool:
     """Fast existence check; no witness minimization, no warnings."""
-    universe = c.colored_ids()
-    required = (containing,) if containing is not None else ()
-    for _, p in _applicable_members(c, forbidden, warn=False):
-        if embed_poset(p, forbidden.mode, universe, labels=c.assign,
-                       required=required, n=c.n) is not None:
-            return True
-    return False
+    members = [p for _, p in _applicable_members(c, forbidden, warn=False)]
+    return _has_copy(c, members, forbidden.mode, containing)
 
 
 def _lexmin_sets(c: Coloring, poset: Poset, mode: str, must: int | None):
-    """Witness set-tuple that is lexicographically least when sorted ascending."""
+    """Witness set-tuple that is lexicographically least when sorted
+    ascending; the caller has established that a copy exists."""
     universe = c.colored_ids()
     base_req = () if must is None else (must,)
-    if embed_poset(poset, mode, universe, labels=c.assign,
-                   required=base_req, n=c.n) is None:
-        return None
     chosen: list[int] = []
     while len(chosen) < poset.size:
         floor = chosen[-1] if chosen else -1
@@ -179,10 +192,9 @@ def _lexmin_sets(c: Coloring, poset: Poset, mode: str, must: int | None):
 def _best_witness(c: Coloring, forbidden: PosetFamily, must: int | None) -> RainbowWitness | None:
     best = None
     for idx, p in _applicable_members(c, forbidden):
-        found = _lexmin_sets(c, p, forbidden.mode, must)
-        if found is None:
+        if not _has_copy(c, [p], forbidden.mode, must):
             continue
-        sets, emb = found
+        sets, emb = _lexmin_sets(c, p, forbidden.mode, must)
         if best is None or sets < best.sets:
             best = RainbowWitness(idx, p, sets, emb,
                                   tuple(c.assign[s] for s in sets))

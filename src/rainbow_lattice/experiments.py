@@ -13,13 +13,12 @@ import json
 import platform
 from pathlib import Path
 
+from . import __version__
 from .coloring import Coloring, PosetFamily, class_stats, validate
 from .constructions import (chain_family_coloring, chain_interval_coloring,
                             chain_overlap_check, incomparable_traces, lift3_coloring,
                             p3_total_coloring, pk_coloring, random_chain_family,
                             trial_seed)
-
-VERSION = "0.1.0"
 
 
 def build_construction(kind: str, n: int, l: int | None = None, k: int | None = None,
@@ -149,7 +148,7 @@ def run_experiment(spec_file, outdir=None) -> dict:
         step_log.append(entry)
 
     manifest = {"name": spec.get("name", spec_path.stem), "seed": seed,
-                "version": VERSION, "python": platform.python_version(),
+                "version": __version__, "python": platform.python_version(),
                 "spec_file": str(spec_path), "steps": step_log,
                 "outputs": sorted(staged)}
     out_base.mkdir(parents=True, exist_ok=True)

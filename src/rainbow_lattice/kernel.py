@@ -1,0 +1,207 @@
+"""Bitset rainbow-copy detection over B_n.
+
+A family of subsets is one integer whose bit s says whether subset id s
+belongs to it.  Per-set masks of the down-set, the up-set and the
+incomparable sets turn each order constraint of a copy into one AND, so the
+candidates for the image of a poset element are a single mask: the colored
+sets of the colors not used yet, cut by the cones of the images already
+placed.  The tables take 3 * 4^n bits, hence lattice.KERNEL_CAP.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+
+from .lattice import KERNEL_CAP, check_dimension
+from .posets import Poset
+
+_UP, _DOWN, _INCOMP = range(3)
+
+
+@dataclass(frozen=True)
+class MaskTables:
+    """down[s], up[s] and incomp[s]: the ids t with t <= s, with s <= t, and
+    with neither, as bitmasks over B_n (s itself is in down[s] and up[s])."""
+
+    down: tuple[int, ...]
+    up: tuple[int, ...]
+    incomp: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)  # one entry per n <= KERNEL_CAP
+def mask_tables(n: int) -> MaskTables:
+    """Cone masks for every set of B_n, n <= KERNEL_CAP.
+
+    The subset recurrence down[s] = bit(s) | OR_i down[s - {i}], folded
+    along the lowest element i of s: the subsets of s are those of s - {i}
+    plus their unions with {i}, which sit 2^i ids higher, so one shift-OR per
+    set suffices.  up is the dual recurrence along the lowest missing element.
+    """
+    check_dimension(n)
+    if n > KERNEL_CAP:
+        raise ValueError(f"rainbow kernel tables need n <= {KERNEL_CAP}, got n={n}")
+    size = 1 << n
+    down = [1] * size
+    for s in range(1, size):
+        low = s & -s
+        d = down[s ^ low]
+        down[s] = d | (d << low)
+    up = [1 << (size - 1)] * size
+    for s in range(size - 2, -1, -1):
+        gap = ~s & (s + 1)
+        u = up[s | gap]
+        up[s] = u | (u >> gap)
+    full = (1 << size) - 1
+    incomp = [full ^ (d | u) for d, u in zip(down, up)]
+    return MaskTables(tuple(down), tuple(up), tuple(incomp))
+
+
+@lru_cache(maxsize=256)
+def _copy_plans(poset: Poset, induced: bool):
+    """For each element e0 pinned first: (e0 is maximal, steps).  Step k
+    places one more element; it lists (table kind, j) pairs meaning the
+    candidate must lie in that table's mask of the image placed j-th.
+    Elements are placed most-constrained first: most comparabilities to the
+    elements placed so far, then highest degree, then lowest index."""
+    plans = []
+    for e0 in range(poset.size):
+        placed = [e0]
+        steps = []
+        rest = [e for e in range(poset.size) if e != e0]
+        while rest:
+            e = min(rest, key=lambda x: (-sum(poset.elements_comparable(x, q) for q in placed),
+                                         -poset.degree(x), x))
+            rest.remove(e)
+            step = []
+            for j, q in enumerate(placed):
+                if poset.is_less(q, e):
+                    step.append((_UP, j))
+                elif poset.is_less(e, q):
+                    step.append((_DOWN, j))
+                elif induced:
+                    step.append((_INCOMP, j))
+            steps.append(tuple(step))
+            placed.append(e)
+        maximal = not any(poset.is_less(e0, q) for q in range(poset.size))
+        plans.append((maximal, tuple(steps)))
+    return tuple(plans)
+
+
+class RainbowKernel:
+    """Rainbow copies of a poset family through one pinned set.
+
+    `assign` is a live view of the coloring (read, never written);
+    `color_mask[c]` holds the sets of color c the search may use and is
+    kept by the caller, or filled by mark_all() and scan().  Induced
+    antichains take the mask-intersection recursion, every other member the
+    generic copy search.
+    """
+
+    def __init__(self, n: int, l: int, members, mode: str, assign):
+        tables = mask_tables(n)
+        self.l = l
+        self.assign = assign
+        self.color_mask = [0] * (l + 1)
+        self.incomp = tables.incomp
+        induced = mode == "induced"
+        self.antichain_sizes = sorted({p.size for p in members
+                                       if induced and p.is_antichain()})
+        by_kind = (tables.up, tables.down, tables.incomp)
+        self.plans = []
+        for p in members:
+            if induced and p.is_antichain():
+                continue
+            for maximal, steps in _copy_plans(p, induced):
+                bound = tuple(tuple((by_kind[kind], j) for kind, j in step) for step in steps)
+                self.plans.append((maximal, bound))
+
+    def reset(self) -> None:
+        self.color_mask[:] = [0] * (self.l + 1)
+
+    def mark_all(self) -> None:
+        """Make every colored set of `assign` available."""
+        self.reset()
+        for s, c in enumerate(self.assign):
+            if c:
+                self.color_mask[c] |= 1 << s
+
+    def scan(self) -> bool:
+        """Whether `assign` has a rainbow copy: the colored sets are added in
+        ascending id order, each searched through as it is added."""
+        self.reset()
+        for s, c in enumerate(self.assign):
+            if c:
+                self.color_mask[c] |= 1 << s
+                if self.through(s, newest=True):
+                    return True
+        return False
+
+    def through(self, pos: int, newest: bool = False) -> bool:
+        """A rainbow copy of some member that uses the colored set pos.
+
+        newest says no available set has a larger id than pos.  Proper
+        supersets have larger ids, so pos can then only be the image of a
+        maximal element, and the others need not be tried.
+        """
+        for k in self.antichain_sizes:
+            if self._rainbow_antichain_with(pos, k):
+                return True
+        if not self.plans:
+            return False
+        base = self.assign[pos]
+        free = 0
+        for c in range(1, self.l + 1):
+            if c != base:
+                free |= self.color_mask[c]
+        for maximal, steps in self.plans:
+            if (maximal or not newest) and self._extend(steps, 0, [pos], free):
+                return True
+        return False
+
+    def _extend(self, steps, k: int, imgs: list[int], free: int) -> bool:
+        """Place steps[k:] given the images so far; `free` holds the
+        available sets of the colors not used yet.  Ascending candidates.
+        The cones include their apex, yet the relations stay strict: an
+        image's color has left `free`, so no image is placed twice."""
+        if k == len(steps):
+            return True
+        cand = free
+        for table, j in steps[k]:
+            cand &= table[imgs[j]]
+        assign, color_mask = self.assign, self.color_mask
+        while cand:
+            low = cand & -cand
+            x = low.bit_length() - 1
+            imgs.append(x)
+            if self._extend(steps, k + 1, imgs, free & ~color_mask[assign[x]]):
+                return True
+            imgs.pop()
+            cand ^= low
+        return False
+
+    def _rainbow_antichain_with(self, pos: int, k: int) -> bool:
+        """A rainbow antichain of size k through pos, via incomparability
+        bitmasks over the colored positions."""
+        if k == 1:
+            return True
+        inc = self.incomp[pos]
+        base = self.assign[pos]
+        colors = [c for c in range(1, self.l + 1)
+                  if c != base and self.color_mask[c] & inc]
+        need = k - 1
+
+        def rec(i: int, mask: int, left: int) -> bool:
+            if left == 0:
+                return True
+            if len(colors) - i < left:
+                return False
+            avail = self.color_mask[colors[i]] & mask
+            while avail:
+                bit = avail & -avail
+                if rec(i + 1, mask & self.incomp[bit.bit_length() - 1], left - 1):
+                    return True
+                avail &= avail - 1
+            return rec(i + 1, mask, left)
+
+        return rec(0, inc, need)

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from .coloring import Coloring, PosetFamily, class_stats, has_rainbow, validate
 from .constructions import (chain_interval_coloring, incomparable_traces,
                             lift3_coloring, p3_total_coloring, pk_coloring)
+from .kernel import RainbowKernel
 from .lattice import (CANONICAL_CAP, all_subset_permutation_tables, check_dimension,
                       comparable, full_set, is_subset, submasks_ascending)
-from .posets import Poset, antichain, chain, diamond, embed_poset, vee, wedge
+from .posets import Poset, antichain, chain, diamond, vee, wedge
 
 
 class BudgetExceeded(Exception):
@@ -47,10 +48,8 @@ class _FeasibilitySearch:
     least valid assignment with all classes >= m, or None."""
 
     def __init__(self, n, l, members, mode, partial, budget, sym_depth):
-        self.n = n
         self.size = 1 << n
         self.l = l
-        self.mode = mode
         self.partial = partial
         self.budget = budget
         self.nodes = 0
@@ -62,34 +61,16 @@ class _FeasibilitySearch:
                 for s, img in enumerate(table):
                     inv[img] = s
                 self.sym_invs.append(inv)
-        # induced antichain members get a bitmask path; everything else goes
-        # through the generic embedding engine
-        if mode == "induced":
-            self.antichain_sizes = sorted({p.size for p in members if p.is_antichain()})
-            self.members = [p for p in members if not p.is_antichain()]
-        else:
-            self.antichain_sizes = []
-            self.members = list(members)
-        self.incomp = None
-        if self.antichain_sizes:
-            self.incomp = []
-            for s in range(self.size):
-                mask = 0
-                for t in range(self.size):
-                    st = s & t
-                    if st != s and st != t:
-                        mask |= 1 << t
-                self.incomp.append(mask)
-        self.assign: list[int] = []
+        self.assign = [0] * self.size
         self.counts: list[int] = []
-        self.colored: list[int] = []
-        self.color_mask = [0] * (l + 1)
+        # the kernel reads assign live and owns the per-color masks
+        self.kernel = RainbowKernel(n, l, members, mode, self.assign)
+        self.color_mask = self.kernel.color_mask
 
     def run(self, m: int):
-        self.assign = [0] * self.size
+        self.assign[:] = [0] * self.size
         self.counts = [0] * (self.l + 1)
-        self.colored = []
-        self.color_mask = [0] * (self.l + 1)
+        self.kernel.reset()
         if self._dfs(0, 0, m):
             return list(self.assign)
         return None
@@ -110,42 +91,6 @@ class _FeasibilitySearch:
                 if b > a:
                     break
         return True
-
-    def _rainbow_antichain_with(self, pos: int, k: int) -> bool:
-        """A rainbow antichain of size k through pos, via incomparability
-        bitmasks over the colored positions."""
-        if k == 1:
-            return True
-        inc = self.incomp[pos]
-        base = self.assign[pos]
-        colors = [c for c in range(1, self.l + 1)
-                  if c != base and self.color_mask[c] & inc]
-        need = k - 1
-
-        def rec(i: int, mask: int, left: int) -> bool:
-            if left == 0:
-                return True
-            if len(colors) - i < left:
-                return False
-            avail = self.color_mask[colors[i]] & mask
-            while avail:
-                bit = avail & -avail
-                if rec(i + 1, mask & self.incomp[bit.bit_length() - 1], left - 1):
-                    return True
-                avail &= avail - 1
-            return rec(i + 1, mask, left)
-
-        return rec(0, inc, need)
-
-    def _rainbow_through(self, pos: int) -> bool:
-        for k in self.antichain_sizes:
-            if self._rainbow_antichain_with(pos, k):
-                return True
-        for p in self.members:
-            if embed_poset(p, self.mode, self.colored, labels=self.assign,
-                           required=(pos,), n=self.n) is not None:
-                return True
-        return False
 
     def _dfs(self, pos: int, used: int, m: int) -> bool:
         if pos == self.size:
@@ -170,13 +115,12 @@ class _FeasibilitySearch:
         for c in range(1, top + 1):
             self.assign[pos] = c
             self.counts[c] += 1
-            self.colored.append(pos)
             self.color_mask[c] |= bit
-            if not self._rainbow_through(pos):
+            # ids are assigned in ascending order, so pos is the newest set
+            if not self.kernel.through(pos, newest=True):
                 if self._dfs(pos + 1, used if c <= used else c, m):
                     return True
             self.counts[c] -= 1
-            self.colored.pop()
             self.color_mask[c] &= ~bit
         self.assign[pos] = 0
         return False
@@ -255,6 +199,8 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
     to lower_bound_only; it never yields a wrong "optimal".  Witnesses found
     by search are the lexicographically least valid assignment; a witness
     taken straight from a construction is reported via seed_source.
+    The search checks rainbow copies with the bitset kernel, so above
+    KERNEL_CAP a value a construction does not settle is a ValueError.
     """
     check_dimension(n)
     if l < 1:

@@ -21,7 +21,8 @@ from .constructions import (chain_family_coloring, chain_interval_coloring,
                             chain_overlap_check, incomparable_traces, lift3_coloring,
                             p3_total_coloring, pk_coloring, random_chain_family,
                             trial_seed)
-from .lattice import Interval, comparable, interval_members
+from .kernel import mask_tables
+from .lattice import Interval, interval_members
 from .solver import az_decompose, cross_sperner_check, greedy_tuples_and_cover, solve_min_class
 
 
@@ -130,11 +131,7 @@ def max_cross_sperner_product_exhaustive(n: int) -> int:
     for each of the 2^(2^n) choices of F1, the largest mate is the set of
     ids incomparable to all of F1."""
     size = 1 << n
-    incomp = [0] * size
-    for s in range(size):
-        for t in range(size):
-            if not comparable(s, t):
-                incomp[s] |= 1 << t
+    incomp = mask_tables(n).incomp
     best = 0
     for mask in range(1, 1 << size):
         pool = (1 << size) - 1

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import rainbow_lattice
 from rainbow_lattice.cli import main
 from rainbow_lattice.experiments import congen_trial_rows, run_experiment
 
@@ -145,3 +146,18 @@ def test_congen_trial_rows_deterministic():
 def test_cli_error_paths(capsys):
     assert run_cli("construct", "--type", "chain", "--n", "4", "--l", "3") == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_format_csv_is_rejected(capsys):
+    # no subcommand writes CSV to stdout, so the choice is not offered
+    with pytest.raises(SystemExit) as exc:
+        run_cli("bounds", "--op", "m", "--l", "3", "--format", "csv")
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+def test_version_flag_prints_package_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--version")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == rainbow_lattice.__version__

@@ -1,0 +1,79 @@
+"""The bitset rainbow kernel against embed_poset and the brute-force oracles."""
+
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rainbow_lattice.kernel import RainbowKernel, mask_tables
+from rainbow_lattice.lattice import KERNEL_CAP, comparable, is_subset
+from rainbow_lattice.posets import build_poset, embed_poset
+from oracles import copy_tuples, oracle_has_rainbow
+
+SPECS = ("A2", "A3", "A4", "P2", "P3", "P4", "V2", "W2", "D2", "P2+A1",
+         '{"size": 4, "relations": [[0, 2], [1, 2], [1, 3]]}')
+
+
+@lru_cache(maxsize=None)
+def _tuples(n, spec, mode):
+    return copy_tuples(n, build_poset(spec), mode)
+
+
+@st.composite
+def partial_colorings(draw):
+    n = draw(st.integers(1, 4))
+    l = draw(st.integers(1, 5))
+    assign = draw(st.lists(st.integers(0, l), min_size=1 << n, max_size=1 << n))
+    return n, l, assign
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_colorings(), st.sampled_from(SPECS), st.sampled_from(("induced", "weak")),
+       st.one_of(st.none(), st.integers(0, 15)))
+def test_kernel_agrees_with_embed_poset_and_oracle(coloring, spec, mode, containing):
+    n, l, assign = coloring
+    if containing is not None:
+        containing %= 1 << n
+    poset = build_poset(spec)
+    kernel = RainbowKernel(n, l, [poset], mode, assign)
+    if containing is None:
+        got = kernel.scan()
+    elif assign[containing]:
+        kernel.mark_all()
+        got = kernel.through(containing)
+    else:
+        got = False
+    colored = [s for s, v in enumerate(assign) if v]
+    required = () if containing is None else (containing,)
+    ref = embed_poset(poset, mode, colored, labels=assign, required=required, n=n)
+    tuples = _tuples(n, spec, mode)
+    if containing is not None:
+        tuples = [t for t in tuples if containing in t]
+    assert got == (ref is not None) == oracle_has_rainbow(assign, tuples)
+
+
+@settings(max_examples=100, deadline=None)
+@given(partial_colorings(), st.sets(st.sampled_from(SPECS), min_size=2, max_size=4),
+       st.sampled_from(("induced", "weak")))
+def test_kernel_family_is_any_member(coloring, specs, mode):
+    n, l, assign = coloring
+    specs = sorted(specs)
+    kernel = RainbowKernel(n, l, [build_poset(s) for s in specs], mode, assign)
+    want = any(oracle_has_rainbow(assign, _tuples(n, s, mode)) for s in specs)
+    assert kernel.scan() == want
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_mask_tables_match_comparable(n):
+    t = mask_tables(n)
+    for s in range(1 << n):
+        for u in range(1 << n):
+            assert (t.down[s] >> u & 1) == is_subset(u, s)
+            assert (t.up[s] >> u & 1) == is_subset(s, u)
+            assert (t.incomp[s] >> u & 1) == (not comparable(s, u))
+
+
+def test_mask_tables_capped():
+    with pytest.raises(ValueError, match="n <= "):
+        mask_tables(KERNEL_CAP + 1)

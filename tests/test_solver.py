@@ -37,6 +37,22 @@ class TestSolveKnownValues:
         assert res.value == 4 and res.status == "optimal"
         assert res.nodes_explored == 0 and res.seed_source == "construction:pk"
 
+    @pytest.mark.parametrize("spec,nodes,source,witness", [
+        ("P3", 36772, "construction:p3", [3, 1, 2, 3] * 4),
+        ("V2", 17539, "search", [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4),
+    ])
+    def test_search_pinned_n4(self, spec, nodes, source, witness):
+        # exact node counts and witnesses: a detector change must not move the search
+        res = solve_min_class(4, 3, PosetFamily.from_spec(spec))
+        assert res.value == 4 and res.status == "optimal"
+        assert res.nodes_explored == nodes
+        assert res.seed_source == source and res.witness.assign == witness
+        # the search's own lexicographically least witness at the optimum
+        plain = solve_min_class(4, 3, PosetFamily.from_spec(spec),
+                                use_construction_seed=False)
+        assert plain.seed_source == "search"
+        assert plain.witness.assign == [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4
+
     def test_small_n_exhaustive_arbiter(self):
         # the solver, not the closed form, decides the n=2 and n=3 values
         assert solve_min_class(2, 2, PosetFamily.from_spec("A2")).value == 2
