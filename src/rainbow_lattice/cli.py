@@ -1,5 +1,6 @@
 """Command-line surface: construct, detect, solve, decompose, bounds,
-congen, verify, run.  JSON by default; --out writes to a file."""
+congen, verify, run.  JSON by default, one `key: value` line per top-level
+key with --format text; --out writes to a file."""
 
 from __future__ import annotations
 
@@ -18,13 +19,29 @@ from .solver import az_decompose, solve_min_class
 from .verify import DEFAULT_SEED, verify_suite
 
 
-def _emit(data, args) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True, default=str)
+def _render(data: dict, fmt: str) -> str:
+    """JSON, or for "text" one `key: value` line per top-level key, with
+    strings bare and every other value as compact JSON."""
+    if fmt != "text":
+        return json.dumps(data, indent=2, sort_keys=True, default=str)
+    lines = []
+    for key, value in sorted(data.items()):
+        if not isinstance(value, str):
+            value = json.dumps(value, sort_keys=True, separators=(",", ":"), default=str)
+        lines.append(f"{key}: {value}")
+    return "\n".join(lines)
+
+
+def _write(text: str, args) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit(data: dict, args) -> None:
+    _write(_render(data, args.format), args)
 
 
 def _family_arg(value: str, n: int | None = None):
@@ -145,12 +162,7 @@ def _cmd_verify(args) -> int:
     seed = DEFAULT_SEED if args.seed is None else args.seed
     report = verify_suite(profile=args.profile, seed=seed, budget=args.budget)
     if args.format == "text":
-        text = report.render_text()
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write(report.render_text(), args)
     else:
         _emit(report.to_json_dict(), args)
     return 0 if report.ok else 1
@@ -158,7 +170,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_run(args) -> int:
     manifest = run_experiment(args.spec_file, outdir=args.out)
-    print(json.dumps(manifest, indent=2, sort_keys=True))
+    print(_render(manifest, args.format))
     return 0
 
 

@@ -93,9 +93,9 @@ class RainbowKernel:
 
     `assign` is a live view of the coloring (read, never written);
     `color_mask[c]` holds the sets of color c the search may use and is
-    kept by the caller, or filled by mark_all() and scan().  Induced
-    antichains take the mask-intersection recursion, every other member the
-    generic copy search.
+    kept by the caller, or filled by mark_all() and scan(); color_mask[0]
+    stays 0.  Induced antichains take the forward-checked clique search,
+    every other member the generic copy search.
     """
 
     def __init__(self, n: int, l: int, members, mode: str, assign):
@@ -181,27 +181,41 @@ class RainbowKernel:
         return False
 
     def _rainbow_antichain_with(self, pos: int, k: int) -> bool:
-        """A rainbow antichain of size k through pos, via incomparability
-        bitmasks over the colored positions."""
+        """A rainbow antichain of size k through pos: one set from each of
+        k-1 other colors, pairwise incomparable and incomparable to pos."""
         if k == 1:
             return True
-        inc = self.incomp[pos]
-        base = self.assign[pos]
-        colors = [c for c in range(1, self.l + 1)
-                  if c != base and self.color_mask[c] & inc]
-        need = k - 1
+        # dropping pos's own color from inc empties its mask; color 0 has none
+        inc = self.incomp[pos] & ~self.color_mask[self.assign[pos]]
+        masks = [m for cm in self.color_mask if (m := cm & inc)]
+        return len(masks) >= k - 1 and _antichain_clique(masks, k - 1, self.incomp)
 
-        def rec(i: int, mask: int, left: int) -> bool:
-            if left == 0:
-                return True
-            if len(colors) - i < left:
-                return False
-            avail = self.color_mask[colors[i]] & mask
-            while avail:
-                bit = avail & -avail
-                if rec(i + 1, mask & self.incomp[bit.bit_length() - 1], left - 1):
+
+def _antichain_clique(masks: list[int], need: int, incomp) -> bool:
+    """Whether `need` of the per-color candidate masks yield one set each,
+    pairwise incomparable.  Every mask is nonzero and len(masks) >= need.
+
+    A clique search over a multipartite graph with forward checking: branch
+    on the color with the fewest candidates, walk them in ascending order,
+    and after placing x cut every other mask to incomp[x], dropping the
+    colors left empty.  A color may go unused only while more colors
+    remain than sets are needed.
+    """
+    if need == 1:
+        return True
+    cand = min(masks, key=int.bit_count)
+    rest = masks.copy()
+    rest.remove(cand)  # the masks are disjoint, so cand occurs once
+    while cand:
+        low = cand & -cand
+        inc = incomp[low.bit_length() - 1]
+        if need == 2:  # the last set: any other color incomparable to x will do
+            for r in rest:
+                if r & inc:
                     return True
-                avail &= avail - 1
-            return rec(i + 1, mask, left)
-
-        return rec(0, inc, need)
+        else:
+            cut = [m for r in rest if (m := r & inc)]
+            if len(cut) >= need - 1 and _antichain_clique(cut, need - 1, incomp):
+                return True
+        cand ^= low
+    return len(rest) >= need and _antichain_clique(rest, need, incomp)

@@ -195,13 +195,8 @@ def is_vee_shape(poset: Poset) -> bool:
 
 
 def is_wedge_shape(poset: Poset) -> bool:
-    if poset.size < 2:
-        return False
-    for a in range(poset.size):
-        want = frozenset((b, a) for b in range(poset.size) if b != a)
-        if poset.less == want:
-            return True
-    return False
+    """True iff the poset is some Wk, the dual of a Vk."""
+    return is_vee_shape(poset.dual())
 
 
 def _embedding_order(poset: Poset) -> list[int]:

@@ -30,6 +30,7 @@ class BudgetExceeded(Exception):
 @dataclass
 class SolveResult:
     value: int
+    upper: int                   # proven upper bound; equals value when optimal
     witness: Coloring | None
     status: str                  # "optimal" | "lower_bound_only"
     nodes_explored: int
@@ -37,7 +38,7 @@ class SolveResult:
     seed_source: str = "none"
 
     def to_json_dict(self) -> dict:
-        return {"value": self.value, "status": self.status,
+        return {"value": self.value, "upper": self.upper, "status": self.status,
                 "nodes_explored": self.nodes_explored, "cap": self.cap,
                 "seed_source": self.seed_source,
                 "witness": self.witness.to_json_dict() if self.witness else None}
@@ -196,7 +197,8 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
 
     kind "partial" admits uncolored sets, "total" does not.  The answer never
     exceeds floor(2^n / l).  Exceeding the node budget downgrades the status
-    to lower_bound_only; it never yields a wrong "optimal".  Witnesses found
+    to lower_bound_only; it never yields a wrong "optimal", and `upper`
+    keeps the bound the finished probes proved.  Witnesses found
     by search are the lexicographically least valid assignment; a witness
     taken straight from a construction is reported via seed_source.
     The search checks rainbow copies with the bitset kernel, so above
@@ -214,7 +216,7 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
         warnings.warn("forbidden members larger than the color count are "
                       "vacuously avoided", stacklevel=2)
     if not members:
-        return SolveResult(cap, _equal_split_coloring(n, l, kind), "optimal",
+        return SolveResult(cap, cap, _equal_split_coloring(n, l, kind), "optimal",
                            0, cap, "trivial-cap")
 
     lo, witness, source = 0, None, "none"
@@ -225,7 +227,7 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
     if witness is None and kind == "partial":
         witness, source = Coloring.empty(n, l), "empty"
     if witness is not None and lo >= cap:
-        return SolveResult(cap, witness, "optimal", 0, cap, source)
+        return SolveResult(cap, cap, witness, "optimal", 0, cap, source)
 
     if sym_prune is None:
         sym_prune = n <= CANONICAL_CAP
@@ -237,9 +239,9 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
         try:
             res = search.run(0)
         except BudgetExceeded:
-            return SolveResult(-1, None, "lower_bound_only", search.nodes, cap, source)
+            return SolveResult(-1, cap, None, "lower_bound_only", search.nodes, cap, source)
         if res is None:
-            return SolveResult(-1, None, "optimal", search.nodes, cap, "infeasible")
+            return SolveResult(-1, -1, None, "optimal", search.nodes, cap, "infeasible")
         witness, source = Coloring(n, l, res), "search"
 
     hi = cap
@@ -261,7 +263,7 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
         raise AssertionError("internal error: unsound witness")
     if kind == "total" and not witness.is_total():
         raise AssertionError("internal error: partial witness for a total solve")
-    return SolveResult(lo, witness, status, search.nodes, cap, source)
+    return SolveResult(lo, hi, witness, status, search.nodes, cap, source)
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,19 @@ def test_format_csv_is_rejected(capsys):
     assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
+def test_format_text_prints_one_line_per_key(tmp_path, capsys):
+    assert run_cli("bounds", "--op", "m", "--l", "3", "--format", "text") == 0
+    assert capsys.readouterr().out == "l: 3\nm: 3\n"
+    out = tmp_path / "solve.txt"
+    assert run_cli("solve", "--n", "3", "--colors", "2", "--forbid", "A2",
+                   "--format", "text", "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert {"status: optimal", "value: 2", "upper: 2", "witness_stats: [3,2]",
+            'witness: {"colors":[1,1,0,2,0,2,0,1],"l":2,"n":3}'} <= set(lines)
+    keys = [line.split(":")[0] for line in lines]
+    assert keys == sorted(set(keys))
+
+
 def test_version_flag_prints_package_version(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("--version")

@@ -64,6 +64,29 @@ def test_kernel_family_is_any_member(coloring, specs, mode):
     assert kernel.scan() == want
 
 
+@st.composite
+def antichain_cases(draw):
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(2, 5))
+    l = draw(st.integers(k - 1, k + 2))
+    assign = draw(st.lists(st.integers(0, l), min_size=1 << n, max_size=1 << n))
+    return n, k, l, assign
+
+
+@settings(max_examples=400, deadline=None)
+@given(antichain_cases())
+def test_antichain_search_agrees_with_oracle(case):
+    # l = k - 1 has too few colors; l > k lets the search leave colors unused
+    n, k, l, assign = case
+    kernel = RainbowKernel(n, l, [build_poset(f"A{k}")], "induced", assign)
+    tuples = _tuples(n, f"A{k}", "induced")
+    assert kernel.scan() == oracle_has_rainbow(assign, tuples)
+    kernel.mark_all()
+    for s, c in enumerate(assign):
+        if c:
+            assert kernel.through(s) == oracle_has_rainbow(assign, [t for t in tuples if s in t])
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_mask_tables_match_comparable(n):
     t = mask_tables(n)

@@ -53,6 +53,21 @@ class TestSolveKnownValues:
         assert plain.seed_source == "search"
         assert plain.witness.assign == [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4
 
+    @pytest.mark.parametrize("kind,n,l,spec,value,nodes,witness", [
+        ("partial", 4, 4, "A3", 3, 99579, [1, 0, 1, 0, 1, 0, 2, 0, 3, 4, 4, 2, 4, 2, 3, 3]),
+        ("total", 4, 4, "A3", 2, 9997, [1, 1, 1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 3, 4, 4, 3]),
+        ("partial", 5, 5, "A5", 6, 340444,
+         [0, 0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3, 4, 4, 3, 5, 2, 5, 3, 3, 4,
+          5, 3, 5, 4, 5, 5, 4, 4]),
+    ])
+    def test_search_pinned_antichains(self, kind, n, l, spec, value, nodes, witness):
+        # the antichain detector decides only yes/no, so a faster one must
+        # leave the node count and the search's witness exactly as they are
+        res = solve_min_class(n, l, PosetFamily.from_spec(spec), kind=kind)
+        assert res.value == res.upper == value and res.status == "optimal"
+        assert res.nodes_explored == nodes
+        assert res.seed_source == "search" and res.witness.assign == witness
+
     def test_small_n_exhaustive_arbiter(self):
         # the solver, not the closed form, decides the n=2 and n=3 values
         assert solve_min_class(2, 2, PosetFamily.from_spec("A2")).value == 2
@@ -114,6 +129,16 @@ class TestSolveContract:
         assert res.status == "lower_bound_only"
         assert res.value == 3  # the construction seed is already optimal here
         assert class_stats(res.witness).min_size >= res.value
+
+    def test_budget_keeps_proven_upper_bound(self):
+        # lo = 3 from the chain construction, cap = 8.  The probe at m = 6 is
+        # refuted after 3,602 nodes (upper 5); the probe at m = 4 runs out.
+        fam = PosetFamily.from_spec("A2")
+        res = solve_min_class(4, 2, fam, budget=10_000)
+        assert (res.status, res.value, res.upper) == ("lower_bound_only", 3, 5)
+        assert res.to_json_dict()["upper"] == 5
+        assert solve_min_class(4, 2, fam, budget=3_602).upper == 5
+        assert solve_min_class(4, 2, fam, budget=3_601).upper == 8
 
     def test_oversized_family_trivial_cap(self):
         with warnings.catch_warnings(record=True) as caught:
