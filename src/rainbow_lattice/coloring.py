@@ -138,15 +138,18 @@ def _applicable_members(c: Coloring, forbidden: PosetFamily, warn: bool = True):
     return out
 
 
-def _has_copy(c: Coloring, members, mode: str, must: int | None) -> bool:
+def _has_copy(c: Coloring, members, mode: str, must: int | None,
+              kernel: RainbowKernel | None = None) -> bool:
     """Whether some member has a rainbow copy (through must, when given):
-    the bitset kernel up to lattice.KERNEL_CAP, embed_poset above it."""
+    the bitset kernel up to lattice.KERNEL_CAP, embed_poset above it.  A
+    kernel passed in is left with every colored set available."""
     if not members:
         return False
     if must is not None and not (0 <= must < len(c.assign) and c.assign[must]):
         return False
     if c.n <= lattice.KERNEL_CAP:
-        kernel = RainbowKernel(c.n, c.l, members, mode, c.assign)
+        if kernel is None:
+            kernel = RainbowKernel(c.n, c.l, members, mode, c.assign)
         if must is None:
             return kernel.scan()
         kernel.mark_all()
@@ -163,42 +166,67 @@ def has_rainbow(c: Coloring, forbidden: PosetFamily, containing: int | None = No
     return _has_copy(c, members, forbidden.mode, containing)
 
 
-def _lexmin_sets(c: Coloring, poset: Poset, mode: str, must: int | None):
+def _lexmin_sets(c: Coloring, poset: Poset, mode: str, must: int | None,
+                 kernel: RainbowKernel | None):
     """Witness set-tuple that is lexicographically least when sorted
-    ascending; the caller has established that a copy exists."""
+    ascending, or None when poset has no rainbow copy (through must).
+
+    Greedy: the next set is the least x such that some copy uses the sets
+    chosen so far, x and must, and otherwise only sets above x.  A kernel
+    with every colored set available answers that question; without one,
+    embed_poset does.
+    """
     universe = c.colored_ids()
-    base_req = () if must is None else (must,)
     chosen: list[int] = []
     while len(chosen) < poset.size:
         floor = chosen[-1] if chosen else -1
         for x in universe:
             if x <= floor:
                 continue
-            pool = chosen + [y for y in universe if y >= x]
-            req = set(chosen) | {x} | set(base_req)
-            if not req <= set(pool):
-                continue
-            if embed_poset(poset, mode, pool, labels=c.assign,
-                           required=req, n=c.n) is not None:
+            req = chosen + [x]
+            if must is not None and must not in req:
+                if must < x:
+                    continue
+                req.append(must)
+            if kernel is not None:
+                found = kernel.copy_using(poset, x, req)
+            else:
+                pool = chosen + [y for y in universe if y >= x]
+                found = embed_poset(poset, mode, pool, labels=c.assign,
+                                    required=req, n=c.n) is not None
+            if found:
                 chosen.append(x)
                 break
         else:
+            if not chosen:
+                return None
             raise AssertionError("witness disappeared during minimization")
-    emb = embed_poset(poset, mode, chosen, labels=c.assign,
-                      required=chosen, n=c.n)
-    return tuple(chosen), emb
+    return tuple(chosen)
 
 
 def _best_witness(c: Coloring, forbidden: PosetFamily, must: int | None) -> RainbowWitness | None:
+    mode = forbidden.mode
+    members = _applicable_members(c, forbidden)
+    kernel = None
+    if c.n <= lattice.KERNEL_CAP:
+        # one kernel for the whole family: its color masks serve every query
+        posets = [p for _, p in members]
+        kernel = RainbowKernel(c.n, c.l, posets, mode, c.assign)
+        if not _has_copy(c, posets, mode, must, kernel):
+            return None
     best = None
-    for idx, p in _applicable_members(c, forbidden):
-        if not _has_copy(c, [p], forbidden.mode, must):
+    for idx, p in members:
+        if kernel is None and not _has_copy(c, [p], mode, must):
             continue
-        sets, emb = _lexmin_sets(c, p, forbidden.mode, must)
-        if best is None or sets < best.sets:
-            best = RainbowWitness(idx, p, sets, emb,
-                                  tuple(c.assign[s] for s in sets))
-    return best
+        sets = _lexmin_sets(c, p, mode, must, kernel)
+        if sets is not None and (best is None or sets < best[1]):
+            best = (idx, sets)
+    if best is None:
+        return None
+    idx, sets = best
+    p = forbidden.members[idx]
+    emb = embed_poset(p, mode, sets, labels=c.assign, required=sets, n=c.n)
+    return RainbowWitness(idx, p, sets, emb, tuple(c.assign[s] for s in sets))
 
 
 def validate(c: Coloring, forbidden: PosetFamily) -> RainbowWitness | None:

@@ -16,7 +16,7 @@ from itertools import combinations
 from .bounds import equipartition_a, m_of_l
 from .coloring import Coloring, PosetFamily
 from .lattice import (check_dimension, full_set, is_proper_subset, is_subset,
-                      subset_of)
+                      submasks_ascending, subset_of)
 from .posets import (Poset, antichain, chain, diamond, is_vee_shape, is_wedge_shape,
                      vee, wedge)
 
@@ -195,19 +195,13 @@ def chain_interval_coloring(n: int, l: int) -> ConstructionReport:
             cur |= 1 << (nxt - 1)
             nxt += 1
         sets.append(cur)
-    chain_color = {}
-    for t, cs in enumerate(sets):
-        chain_color[cs] = (t % a) + 1
     assign = [0] * (1 << n)
-    for h in range(1 << n):
-        if h in chain_color:
-            assign[h] = chain_color[h]
-            continue
-        for i in range(1, l + 1):
-            if is_subset(h, sets[i]):
-                if is_subset(sets[i - 1], h):
-                    assign[h] = i
-                break
+    for i in range(1, l + 1):
+        lo, gap = sets[i - 1], sets[i] & ~sets[i - 1]
+        for s in submasks_ascending(gap):
+            assign[lo | s] = i
+    for t, cs in enumerate(sets):  # the interval ends
+        assign[cs] = (t % a) + 1
     col = Coloring(n, l, assign)
     dims = [(sets[i] & ~sets[i - 1]).bit_count() for i in range(1, l + 1)]
     shares = [sum(1 for t in range(l + 1) if t % a == i) for i in range(l)]
@@ -309,14 +303,15 @@ def chain_family_coloring(cf: ChainFamily, materialize: bool = True) -> Construc
     sizes = tuple(sizes)
     col = None
     if materialize:
+        # chains last to first, so each set keeps the color of its first chain
         assign = [0] * (1 << n)
-        for h in range(1, 1 << n):
-            for j in range(k - 1):
-                ch = cf.chains[j]
-                i = next(i for i in range(1, l + 1) if is_subset(h, ch[i]))
-                if is_subset(ch[i - 1], h):
-                    assign[h] = j * l + i
-                    break
+        for j in range(k - 2, -1, -1):
+            ch = cf.chains[j]
+            for i in range(1, l + 1):
+                lo, color = ch[i - 1], j * l + i
+                for s in submasks_ascending(ch[i] & ~lo):
+                    if s:
+                        assign[lo | s] = color
         col = Coloring(n, colors, assign)
     return ConstructionReport(
         name="congen", n=n, l=colors,

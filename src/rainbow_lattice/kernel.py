@@ -16,8 +16,6 @@ from functools import lru_cache
 from .lattice import KERNEL_CAP, check_dimension
 from .posets import Poset
 
-_UP, _DOWN, _INCOMP = range(3)
-
 
 @dataclass(frozen=True)
 class MaskTables:
@@ -58,12 +56,14 @@ def mask_tables(n: int) -> MaskTables:
 
 
 @lru_cache(maxsize=256)
-def _copy_plans(poset: Poset, induced: bool):
+def _copy_plans(poset: Poset, induced: bool, n: int):
     """For each element e0 pinned first: (e0 is maximal, steps).  Step k
-    places one more element; it lists (table kind, j) pairs meaning the
-    candidate must lie in that table's mask of the image placed j-th.
-    Elements are placed most-constrained first: most comparabilities to the
-    elements placed so far, then highest degree, then lowest index."""
+    places one more element; it lists (table, j) pairs meaning the
+    candidate must lie in that table's mask (up, down or incomp over B_n)
+    of the image placed j-th.  Elements are placed most-constrained first:
+    most comparabilities to the elements placed so far, then highest
+    degree, then lowest index."""
+    tables = mask_tables(n)
     plans = []
     for e0 in range(poset.size):
         placed = [e0]
@@ -76,11 +76,11 @@ def _copy_plans(poset: Poset, induced: bool):
             step = []
             for j, q in enumerate(placed):
                 if poset.is_less(q, e):
-                    step.append((_UP, j))
+                    step.append((tables.up, j))
                 elif poset.is_less(e, q):
-                    step.append((_DOWN, j))
+                    step.append((tables.down, j))
                 elif induced:
-                    step.append((_INCOMP, j))
+                    step.append((tables.incomp, j))
             steps.append(tuple(step))
             placed.append(e)
         maximal = not any(poset.is_less(e0, q) for q in range(poset.size))
@@ -99,22 +99,19 @@ class RainbowKernel:
     """
 
     def __init__(self, n: int, l: int, members, mode: str, assign):
-        tables = mask_tables(n)
+        self.n = n
         self.l = l
         self.assign = assign
         self.color_mask = [0] * (l + 1)
-        self.incomp = tables.incomp
-        induced = mode == "induced"
-        self.antichain_sizes = sorted({p.size for p in members
-                                       if induced and p.is_antichain()})
-        by_kind = (tables.up, tables.down, tables.incomp)
-        self.plans = []
-        for p in members:
-            if induced and p.is_antichain():
-                continue
-            for maximal, steps in _copy_plans(p, induced):
-                bound = tuple(tuple((by_kind[kind], j) for kind, j in step) for step in steps)
-                self.plans.append((maximal, bound))
+        self.incomp = mask_tables(n).incomp
+        self.induced = mode == "induced"
+        self.antichain_sizes = sorted({p.size for p in members if self._is_clique(p)})
+        self.plans = [plan for p in members if not self._is_clique(p)
+                      for plan in _copy_plans(p, self.induced, n)]
+
+    def _is_clique(self, poset: Poset) -> bool:
+        """Whether poset takes the antichain clique search."""
+        return self.induced and poset.is_antichain()
 
     def reset(self) -> None:
         self.color_mask[:] = [0] * (self.l + 1)
@@ -128,14 +125,15 @@ class RainbowKernel:
 
     def scan(self) -> bool:
         """Whether `assign` has a rainbow copy: the colored sets are added in
-        ascending id order, each searched through as it is added."""
+        ascending id order, each searched through as it is added until a
+        copy turns up.  Every colored set is available afterwards."""
         self.reset()
+        found = False
         for s, c in enumerate(self.assign):
             if c:
                 self.color_mask[c] |= 1 << s
-                if self.through(s, newest=True):
-                    return True
-        return False
+                found = found or self.through(s, newest=True)
+        return found
 
     def through(self, pos: int, newest: bool = False) -> bool:
         """A rainbow copy of some member that uses the colored set pos.
@@ -155,26 +153,69 @@ class RainbowKernel:
             if c != base:
                 free |= self.color_mask[c]
         for maximal, steps in self.plans:
-            if (maximal or not newest) and self._extend(steps, 0, [pos], free):
+            if (maximal or not newest) and self._extend(steps, 0, [pos], free, 0):
                 return True
         return False
 
-    def _extend(self, steps, k: int, imgs: list[int], free: int) -> bool:
+    def copy_using(self, poset: Poset, x: int, required) -> bool:
+        """A rainbow copy of poset that uses every set of `required`
+        (colored sets, x among them) and otherwise only available sets with
+        ids above x: one step of the lexicographically least witness search.
+
+        Each required set's color is cut down to that set and every other
+        color to its sets above x, so no other set of a required color is
+        ever a candidate.
+        """
+        req = set(required)
+        colors = {self.assign[s] for s in req}
+        if len(req) > poset.size or len(colors) < len(req):
+            return False
+        above = -1 << (x + 1)
+        others = [m & above for c, m in enumerate(self.color_mask) if c not in colors]
+        if self._is_clique(poset):
+            inc = -1
+            for s in req:
+                if not inc >> s & 1:  # s is comparable to a required set
+                    return False
+                inc &= self.incomp[s]
+            need = poset.size - len(req)
+            if not need:
+                return True
+            cut = [m for cm in others if (m := cm & inc)]
+            return len(cut) >= need and _antichain_clique(cut, need, self.incomp)
+        need = 0
+        for s in req:
+            if s != x:
+                need |= 1 << s
+        free = need
+        for m in others:
+            free |= m
+        return any(self._extend(steps, 0, [x], free, need)
+                   for _, steps in _copy_plans(poset, self.induced, self.n))
+
+    def _extend(self, steps, k: int, imgs: list[int], free: int, need: int) -> bool:
         """Place steps[k:] given the images so far; `free` holds the
-        available sets of the colors not used yet.  Ascending candidates.
-        The cones include their apex, yet the relations stay strict: an
-        image's color has left `free`, so no image is placed twice."""
+        available sets of the colors not used yet and `need` the required
+        sets not placed yet.  Ascending candidates.  The cones include
+        their apex, yet the relations stay strict: an image's color has
+        left `free`, so no image is placed twice."""
         if k == len(steps):
-            return True
+            return not need
+        if need and need.bit_count() > len(steps) - k:
+            return False
         cand = free
         for table, j in steps[k]:
             cand &= table[imgs[j]]
+        if not cand:
+            return False
         assign, color_mask = self.assign, self.color_mask
         while cand:
             low = cand & -cand
             x = low.bit_length() - 1
             imgs.append(x)
-            if self._extend(steps, k + 1, imgs, free & ~color_mask[assign[x]]):
+            # need is 0 outside copy_using: skip a big-int ~low per candidate
+            if self._extend(steps, k + 1, imgs, free & ~color_mask[assign[x]],
+                            need & ~low if need else 0):
                 return True
             imgs.pop()
             cand ^= low

@@ -96,9 +96,9 @@ class _FeasibilitySearch:
     def _dfs(self, pos: int, used: int, m: int) -> bool:
         if pos == self.size:
             return all(self.counts[i] >= m for i in range(1, self.l + 1))
-        self.nodes += 1
-        if self.nodes > self.budget:
+        if self.nodes >= self.budget:
             raise BudgetExceeded(self.nodes)
+        self.nodes += 1
         deficit = 0
         for i in range(1, self.l + 1):
             d = m - self.counts[i]

@@ -2,12 +2,17 @@
 
 import random
 import warnings
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rainbow_lattice.coloring import (Coloring, PosetFamily, canonicalize, class_stats,
-                                      has_rainbow, validate, validate_incremental)
+from rainbow_lattice.coloring import (Coloring, PosetFamily, _lexmin_sets, canonicalize,
+                                      class_stats, has_rainbow, validate,
+                                      validate_incremental)
 from rainbow_lattice.constructions import lift3_coloring, p3_total_coloring
+from rainbow_lattice.kernel import RainbowKernel
 from rainbow_lattice.posets import build_poset
 from oracles import copy_tuples, oracle_has_rainbow, oracle_rainbow_witnesses
 
@@ -115,6 +120,49 @@ def test_validate_incremental_examples_and_agreement():
             checks += 1
             if checks >= 10_000:
                 break
+
+
+PINNED_SPECS = ("A2", "A3", "A4", "P2", "P3", "V2", "W2", "D2")
+
+
+@lru_cache(maxsize=None)
+def _tuples(n, spec, mode):
+    return copy_tuples(n, build_poset(spec), mode)
+
+
+@st.composite
+def pinned_colorings(draw, max_n):
+    """(n, l, assign, s) with the set s colored."""
+    n = draw(st.integers(1, max_n))
+    l = draw(st.integers(2, 5))
+    assign = draw(st.lists(st.integers(0, l), min_size=1 << n, max_size=1 << n))
+    s = draw(st.integers(0, (1 << n) - 1))
+    assign[s] = draw(st.integers(1, l))
+    return n, l, assign, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(pinned_colorings(4), st.sampled_from(PINNED_SPECS), st.sampled_from(("induced", "weak")))
+def test_validate_incremental_is_least_witness_through_the_set(case, spec, mode):
+    n, l, assign, s = case
+    want = oracle_rainbow_witnesses(assign, [t for t in _tuples(n, spec, mode) if s in t])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # oversized members and weak antichains
+        got = validate_incremental(Coloring(n, l, assign), s,
+                                   PosetFamily((build_poset(spec),), mode))
+    assert (None if got is None else got.sets) == (want[0] if want else None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pinned_colorings(5), st.sampled_from(PINNED_SPECS), st.sampled_from(("induced", "weak")),
+       st.booleans())
+def test_kernel_minimizer_matches_embed_poset(case, spec, mode, pinned):
+    n, l, assign, s = case
+    c, poset = Coloring(n, l, assign), build_poset(spec)
+    must = s if pinned else None
+    kernel = RainbowKernel(n, l, [poset], mode, assign)
+    kernel.mark_all()
+    assert _lexmin_sets(c, poset, mode, must, kernel) == _lexmin_sets(c, poset, mode, must, None)
 
 
 def test_validate_incremental_requires_colored_set():

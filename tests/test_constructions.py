@@ -167,6 +167,58 @@ class TestChainFamilyColoring:
             chain_family_coloring(cf, materialize=True)
 
 
+def _random_chains(rng, n, count, l):
+    """count strictly nested chains from the empty set to [n], l+1 sets each."""
+    chains = []
+    for _ in range(count):
+        order = rng.sample(range(n), n)
+        cuts = [0] + sorted(rng.sample(range(1, n), l - 1)) + [n]
+        chains.append(tuple(sum(1 << e for e in order[:c]) for c in cuts))
+    return tuple(chains)
+
+
+def _in_halfopen(h, lo, hi):
+    return h != lo and h & lo == lo and h | hi == hi
+
+
+class TestMaterializedByDefinition:
+    """Materialized colorings against a per-set reading of each definition,
+    written with plain bit tests."""
+
+    def test_chain_family_coloring(self):
+        rng = random.Random(2024)
+        for n in range(4, 13):
+            for k in (2, 3, 4):
+                for l in (2, 3):
+                    for _ in range(3):
+                        chains = _random_chains(rng, n, k - 1, l)
+                        got = chain_family_coloring(ChainFamily(n, k, l, chains)).coloring
+                        want = [next((j * l + i for j, ch in enumerate(chains)
+                                      for i in range(1, l + 1)
+                                      if _in_halfopen(h, ch[i - 1], ch[i])), 0)
+                                for h in range(1 << n)]
+                        assert got.assign == want, (n, k, l, chains)
+
+    def test_chain_interval_coloring(self):
+        for n in range(4, 13):
+            for l in (2, 3):
+                if l ** l > 2 ** n:
+                    continue
+                ends, used = [0], 0
+                for i in range(1, l + 1):
+                    used += (n + i - 1) // l
+                    ends.append((1 << used) - 1)
+                a = l - n % l if n % l else l  # parts of the smaller size
+                want = []
+                for h in range(1 << n):
+                    if h in ends:
+                        want.append(ends.index(h) % a + 1)
+                    else:
+                        want.append(next((i for i in range(1, l + 1)
+                                          if _in_halfopen(h, ends[i - 1], ends[i])), 0))
+                assert chain_interval_coloring(n, l).coloring.assign == want, (n, l)
+
+
 class TestChainOverlapCheck:
     def test_single_chain_vacuous(self):
         cf = random_chain_family(6, 2, 2, seed=1)

@@ -136,6 +136,7 @@ class TestSolveContract:
         fam = PosetFamily.from_spec("A2")
         res = solve_min_class(4, 2, fam, budget=10_000)
         assert (res.status, res.value, res.upper) == ("lower_bound_only", 3, 5)
+        assert res.nodes_explored == 10_000
         assert res.to_json_dict()["upper"] == 5
         assert solve_min_class(4, 2, fam, budget=3_602).upper == 5
         assert solve_min_class(4, 2, fam, budget=3_601).upper == 8
