@@ -54,12 +54,25 @@ def _family_arg(value: str, n: int | None = None):
     return [parse_subset(v, n) for v in raw]
 
 
+def _require(args, what: str, *flags: str) -> None:
+    """Name the first of flags left unset: main() exits 2 on the ValueError."""
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise ValueError(f"{what} needs --{flag}")
+
+
+_CONSTRUCT_NEEDS = {"traces": ("l",), "chain": ("l",), "congen": ("k", "l"), "pk": ("k",)}
+_BOUNDS_NEEDS = {"m": ("l",), "formulaA2": ("n", "l"), "entropy": ("x",),
+                 "eq": ("l", "i"), "known": ("n", "l", "forbid")}
+
+
 def _load_coloring(path: str) -> Coloring:
     with open(path, encoding="utf-8") as fh:
         return Coloring.from_json_dict(json.load(fh))
 
 
 def _cmd_construct(args) -> int:
+    _require(args, f"construct --type {args.type}", *_CONSTRUCT_NEEDS.get(args.type, ()))
     report = build_construction(args.type, args.n, l=args.l, k=args.k, seed=args.seed or 0,
                                 total=args.total, variant=args.variant,
                                 materialize=not args.no_materialize)
@@ -72,7 +85,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    if args.coloring:
+    if args.coloring is not None:
+        _require(args, "detect --coloring", "forbid")
         col = _load_coloring(args.coloring)
         fam = PosetFamily.from_spec(args.forbid, args.mode)
         witness = validate(col, fam)
@@ -82,6 +96,7 @@ def _cmd_detect(args) -> int:
                        member=witness.poset.name or witness.member_index)
         _emit(out, args)
         return 0 if witness is None else 1
+    _require(args, "detect without --coloring", "family", "poset")
     family = _family_arg(args.family)
     poset = build_poset(args.poset)
     emb = find_copy(family, poset, args.mode)
@@ -117,6 +132,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_bounds(args) -> int:
     op = args.op
+    _require(args, f"bounds --op {op}", *_BOUNDS_NEEDS.get(op, ()))
     if op == "m":
         out = {"l": args.l, "m": bounds_mod.m_of_l(args.l)}
     elif op == "formulaA2":

@@ -138,43 +138,31 @@ def _applicable_members(c: Coloring, forbidden: PosetFamily, warn: bool = True):
     return out
 
 
-def _has_copy(c: Coloring, members, mode: str, must: int | None,
-              kernel: RainbowKernel | None = None) -> bool:
-    """Whether some member has a rainbow copy (through must, when given):
-    the bitset kernel up to lattice.KERNEL_CAP, embed_poset above it.  A
-    kernel passed in is left with every colored set available."""
-    if not members:
+def _has_copy(c: Coloring, kernel: RainbowKernel, must: int | None) -> bool:
+    """Whether some member of the kernel has a rainbow copy (through must,
+    when given).  The kernel is left with every colored set available."""
+    if must is None:
+        return kernel.scan()
+    if not (0 <= must < len(c.assign) and c.assign[must]):
         return False
-    if must is not None and not (0 <= must < len(c.assign) and c.assign[must]):
-        return False
-    if c.n <= lattice.KERNEL_CAP:
-        if kernel is None:
-            kernel = RainbowKernel(c.n, c.l, members, mode, c.assign)
-        if must is None:
-            return kernel.scan()
-        kernel.mark_all()
-        return kernel.through(must)
-    universe = c.colored_ids()
-    required = () if must is None else (must,)
-    return any(embed_poset(p, mode, universe, labels=c.assign,
-                           required=required, n=c.n) is not None for p in members)
+    kernel.mark_all()
+    return kernel.through(must)
 
 
 def has_rainbow(c: Coloring, forbidden: PosetFamily, containing: int | None = None) -> bool:
     """Fast existence check; no witness minimization, no warnings."""
     members = [p for _, p in _applicable_members(c, forbidden, warn=False)]
-    return _has_copy(c, members, forbidden.mode, containing)
+    return bool(members) and _has_copy(
+        c, RainbowKernel(c.n, c.l, members, forbidden.mode, c.assign), containing)
 
 
-def _lexmin_sets(c: Coloring, poset: Poset, mode: str, must: int | None,
-                 kernel: RainbowKernel | None):
+def _lexmin_sets(c: Coloring, poset: Poset, must: int | None, kernel: RainbowKernel):
     """Witness set-tuple that is lexicographically least when sorted
     ascending, or None when poset has no rainbow copy (through must).
 
     Greedy: the next set is the least x such that some copy uses the sets
-    chosen so far, x and must, and otherwise only sets above x.  A kernel
-    with every colored set available answers that question; without one,
-    embed_poset does.
+    chosen so far, x and must, and otherwise only sets above x.  The kernel,
+    with every colored set available, answers that question.
     """
     universe = c.colored_ids()
     chosen: list[int] = []
@@ -188,13 +176,7 @@ def _lexmin_sets(c: Coloring, poset: Poset, mode: str, must: int | None,
                 if must < x:
                     continue
                 req.append(must)
-            if kernel is not None:
-                found = kernel.copy_using(poset, x, req)
-            else:
-                pool = chosen + [y for y in universe if y >= x]
-                found = embed_poset(poset, mode, pool, labels=c.assign,
-                                    required=req, n=c.n) is not None
-            if found:
+            if kernel.copy_using(poset, x, req):
                 chosen.append(x)
                 break
         else:
@@ -207,18 +189,13 @@ def _lexmin_sets(c: Coloring, poset: Poset, mode: str, must: int | None,
 def _best_witness(c: Coloring, forbidden: PosetFamily, must: int | None) -> RainbowWitness | None:
     mode = forbidden.mode
     members = _applicable_members(c, forbidden)
-    kernel = None
-    if c.n <= lattice.KERNEL_CAP:
-        # one kernel for the whole family: its color masks serve every query
-        posets = [p for _, p in members]
-        kernel = RainbowKernel(c.n, c.l, posets, mode, c.assign)
-        if not _has_copy(c, posets, mode, must, kernel):
-            return None
+    # one kernel for the whole family: its color masks serve every query
+    kernel = RainbowKernel(c.n, c.l, [p for _, p in members], mode, c.assign)
+    if not members or not _has_copy(c, kernel, must):
+        return None
     best = None
     for idx, p in members:
-        if kernel is None and not _has_copy(c, [p], mode, must):
-            continue
-        sets = _lexmin_sets(c, p, mode, must, kernel)
+        sets = _lexmin_sets(c, p, must, kernel)
         if sets is not None and (best is None or sets < best[1]):
             best = (idx, sets)
     if best is None:
@@ -239,6 +216,8 @@ def validate_incremental(c: Coloring, just_colored: int,
                          forbidden: PosetFamily) -> RainbowWitness | None:
     """Same verdict as validate() when the coloring was valid before
     just_colored received its color: only witnesses through it are searched."""
+    if not 0 <= just_colored < len(c.assign):
+        raise ValueError(f"set id {just_colored} outside B_{c.n}")
     if c.assign[just_colored] == UNCOLORED:
         raise ValueError(f"set {just_colored} is uncolored")
     return _best_witness(c, forbidden, just_colored)

@@ -149,16 +149,11 @@ def incomparable_traces(n: int, l: int, total: bool = False,
     classes = l - 1 if total else l
     traces = [subset_of(c) for c in combinations(range(1, m + 1), m // 2)][:classes]
     trace_color = {t: i + 1 for i, t in enumerate(traces)}
-    prefix = full_set(m)
-    assign = [0] * (1 << n)
-    for h in range(1 << n):
-        color = trace_color.get(h & prefix, l if total else 0)
-        assign[h] = color
+    # the color depends only on the trace h & (2^m - 1): repeat the 2^m prefix
+    pattern = [trace_color.get(h, l if total else 0) for h in range(1 << m)]
+    assign = pattern * (1 << (n - m))
     col = Coloring(n, l, assign)
-    per = [0] * l
-    for v in assign:
-        if v:
-            per[v - 1] += 1
+    per = [pattern.count(c) << (n - m) for c in range(1, l + 1)]
     claimed = 2 ** (n - m)
     return ConstructionReport(
         name="traces", n=n, l=l, forbidden=forbidden, certificate="structural",
@@ -363,10 +358,8 @@ def lift3_coloring(n: int, variant: str = "three_color") -> ConstructionReport:
         raise ValueError(f"unknown variant {variant!r}")
     four = variant == "four_color"
     l = 4 if four else 3
-    assign = [0] * (1 << n)
-    for h in range(1 << n):
-        c = _CUBE3[h & 7]
-        assign[h] = c if (four or c < 4) else 0
+    # the color depends only on h & 7: repeat the 3-cube table
+    assign = [c if (four or c < 4) else 0 for c in map(_CUBE3.get, range(8))] * (1 << (n - 3))
     col = Coloring(n, l, assign)
     if four:
         forb = PosetFamily((diamond(),), "induced")
@@ -389,10 +382,7 @@ def p3_total_coloring(n: int) -> ConstructionReport:
     if n < 2:
         raise ValueError("need n >= 2")
     check_dimension(n)
-    assign = [0] * (1 << n)
-    for h in range(1 << n):
-        one, two = h & 1, h & 2
-        assign[h] = 1 if one and not two else 2 if two and not one else 3
+    assign = [3, 1, 2, 3] * (1 << (n - 2))  # by h & 3: neither, 1 only, 2 only, both
     col = Coloring(n, 3, assign)
     quarter = 2 ** (n - 2)
     return ConstructionReport(
@@ -416,18 +406,18 @@ def pk_coloring(n: int, k: int) -> ConstructionReport:
     quota = (1 << n) // k
     if 2 ** (n - 2) < quota:
         raise ValueError("side families too small for the quota")
-    assign = [0] * (1 << n)
-    pool1 = [h for h in range(1 << n) if h & 1 and not h & 2][:quota]
-    pool2 = [h for h in range(1 << n) if h & 2 and not h & 1][:quota]
-    for h in pool1:
-        assign[h] = 1
-    for h in pool2:
-        assign[h] = 2
-    rest = [h for h in range(1 << n) if not assign[h]]
+    # ids below 4 * quota come in fours by h & 3: one of classes 3..k, one of
+    # class 1, one of class 2, one of 3..k; above, classes 3..k take every id
+    q4 = 4 * quota
+    rest = [0] * ((1 << n) - 2 * quota)
     for c in range(3, k + 1):
-        chunk, rest = rest[:quota], rest[quota:]
-        for h in chunk:
-            assign[h] = c
+        rest[(c - 3) * quota:(c - 2) * quota] = [c] * quota
+    assign = [0] * (1 << n)
+    assign[0:q4:4] = rest[0:2 * quota:2]
+    assign[1:q4:4] = [1] * quota
+    assign[2:q4:4] = [2] * quota
+    assign[3:q4:4] = rest[1:2 * quota:2]
+    assign[q4:] = rest[2 * quota:]
     col = Coloring(n, k, assign)
     return ConstructionReport(
         name="pk", n=n, l=k,

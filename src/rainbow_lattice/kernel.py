@@ -5,7 +5,7 @@ belongs to it.  Per-set masks of the down-set, the up-set and the
 incomparable sets turn each order constraint of a copy into one AND, so the
 candidates for the image of a poset element are a single mask: the colored
 sets of the colors not used yet, cut by the cones of the images already
-placed.  The tables take 3 * 4^n bits, hence lattice.KERNEL_CAP.
+placed.  Masks have 2^n bits: whole tables up to n = 13, on demand above.
 """
 
 from __future__ import annotations
@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lattice import KERNEL_CAP, check_dimension
+from .lattice import check_dimension
 from .posets import Poset
+
+_TABLE_BITS = 1 << 27  # mask bits kept per kind; a whole table takes 4^n, so n <= 13
 
 
 @dataclass(frozen=True)
@@ -22,37 +24,53 @@ class MaskTables:
     """down[s], up[s] and incomp[s]: the ids t with t <= s, with s <= t, and
     with neither, as bitmasks over B_n (s itself is in down[s] and up[s])."""
 
-    down: tuple[int, ...]
-    up: tuple[int, ...]
-    incomp: tuple[int, ...]
+    down: tuple[int, ...] | _ConeStore
+    up: tuple[int, ...] | _ConeStore
+    incomp: tuple[int, ...] | _ConeStore
 
 
-@lru_cache(maxsize=None)  # one entry per n <= KERNEL_CAP
-def mask_tables(n: int) -> MaskTables:
-    """Cone masks for every set of B_n, n <= KERNEL_CAP.
+class _ConeStore(dict):
+    """Masks of one kind by set id, computed by `cone` on a miss.  It
+    empties itself once it holds `limit` masks, so its memory is bounded."""
 
-    The subset recurrence down[s] = bit(s) | OR_i down[s - {i}], folded
-    along the lowest element i of s: the subsets of s are those of s - {i}
-    plus their unions with {i}, which sit 2^i ids higher, so one shift-OR per
-    set suffices.  up is the dual recurrence along the lowest missing element.
-    """
-    check_dimension(n)
-    if n > KERNEL_CAP:
-        raise ValueError(f"rainbow kernel tables need n <= {KERNEL_CAP}, got n={n}")
-    size = 1 << n
-    down = [1] * size
-    for s in range(1, size):
+    def __init__(self, cone, limit: int):
+        self.cone, self.limit = cone, limit
+
+    def __missing__(self, s: int) -> int:
+        if len(self) >= self.limit:
+            self.clear()
+        mask = self[s] = self.cone(s)
+        return mask
+
+
+def _down(s: int) -> int:
+    """The subsets of s: each element bit `low` of s adds a copy of those
+    found so far, `low` ids higher (the product of 1 + x^low over s)."""
+    d = 1
+    while s:
         low = s & -s
-        d = down[s ^ low]
-        down[s] = d | (d << low)
-    up = [1 << (size - 1)] * size
-    for s in range(size - 2, -1, -1):
-        gap = ~s & (s + 1)
-        u = up[s | gap]
-        up[s] = u | (u >> gap)
-    full = (1 << size) - 1
-    incomp = [full ^ (d | u) for d, u in zip(down, up)]
-    return MaskTables(tuple(down), tuple(up), tuple(incomp))
+        d |= d << low
+        s ^= low
+    return d
+
+
+@lru_cache(maxsize=None)  # one entry per n <= ENUMERATION_CAP
+def mask_tables(n: int) -> MaskTables:
+    """Cone masks for every set of B_n: down(s) from _down, up(s) as the
+    subsets of the complement shifted s ids up, incomp(s) as the rest.
+    Tuples where a whole table fits _TABLE_BITS, bounded stores above."""
+    check_dimension(n)
+    size = 1 << n
+    full, everything, limit = size - 1, (1 << size) - 1, _TABLE_BITS >> n
+    if size * size <= _TABLE_BITS:
+        down = tuple(map(_down, range(size)))
+        up = tuple(down[full ^ s] << s for s in range(size))
+        incomp = tuple(everything ^ (d | u) for d, u in zip(down, up))
+    else:
+        down = _ConeStore(_down, limit)
+        up = _ConeStore(lambda s: _down(full ^ s) << s, limit)
+        incomp = _ConeStore(lambda s: everything ^ (_down(s) | _down(full ^ s) << s), limit)
+    return MaskTables(down, up, incomp)
 
 
 @lru_cache(maxsize=256)

@@ -13,13 +13,11 @@ from itertools import permutations
 # Enumerating all of B_n is refused above ENUMERATION_CAP; closed-form
 # sizes stay exact up to ANALYTIC_CAP (python ints, no overflow).  Orbit
 # canonicalization is exact-only, never approximated, hence its own cap.
-# The bitset rainbow kernel keeps 3 * 4^n bits of cone masks (6 MiB at
-# n=12, 1.5 GiB at n=16), so detection switches to the table-free
-# backtracking engine above KERNEL_CAP.
+# The rainbow kernel's cone masks have 2^n bits each, so whole tables take
+# 3 * 4^n bits (1.5 GiB at n=16); above n=13 it computes them on demand.
 ENUMERATION_CAP = 20
 ANALYTIC_CAP = 63
 CANONICAL_CAP = 4
-KERNEL_CAP = 12
 
 
 def check_dimension(n, analytic: bool = False) -> None:

@@ -201,8 +201,7 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
     keeps the bound the finished probes proved.  Witnesses found
     by search are the lexicographically least valid assignment; a witness
     taken straight from a construction is reported via seed_source.
-    The search checks rainbow copies with the bitset kernel, so above
-    KERNEL_CAP a value a construction does not settle is a ValueError.
+    The search checks rainbow copies with the bitset kernel at every n.
     """
     check_dimension(n)
     if l < 1:

@@ -148,6 +148,26 @@ def test_cli_error_paths(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("detect",), "--coloring"),
+    (("detect", "--coloring", "missing.json"), "--forbid"),
+    (("bounds", "--op", "m"), "--l"),
+    (("bounds", "--op", "formulaA2", "--l", "3"), "--n"),
+    (("bounds", "--op", "eq", "--l", "3"), "--i"),
+    (("bounds", "--op", "known", "--n", "4", "--l", "2"), "--forbid"),
+    (("bounds", "--op", "entropy"), "--x"),
+    (("construct", "--type", "traces", "--n", "4"), "--l"),
+    (("construct", "--type", "chain", "--n", "4"), "--l"),
+    (("construct", "--type", "pk", "--n", "4"), "--k"),
+    (("construct", "--type", "congen", "--n", "6", "--l", "2"), "--k"),
+    (("construct", "--type", "congen", "--n", "6", "--k", "3"), "--l"),
+])
+def test_missing_argument_exits_2_naming_the_flag(argv, flag, capsys):
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err and "Traceback" not in err
+
+
 def test_format_csv_is_rejected(capsys):
     # no subcommand writes CSV to stdout, so the choice is not offered
     with pytest.raises(SystemExit) as exc:

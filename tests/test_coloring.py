@@ -13,7 +13,7 @@ from rainbow_lattice.coloring import (Coloring, PosetFamily, _lexmin_sets, canon
                                       validate_incremental)
 from rainbow_lattice.constructions import lift3_coloring, p3_total_coloring
 from rainbow_lattice.kernel import RainbowKernel
-from rainbow_lattice.posets import build_poset
+from rainbow_lattice.posets import build_poset, embed_poset
 from oracles import copy_tuples, oracle_has_rainbow, oracle_rainbow_witnesses
 
 
@@ -153,6 +153,33 @@ def test_validate_incremental_is_least_witness_through_the_set(case, spec, mode)
     assert (None if got is None else got.sets) == (want[0] if want else None)
 
 
+def _embed_lexmin(c, poset, mode, must):
+    """The lexicographically least witness of poset (through must) by the
+    same greedy as coloring._lexmin_sets, each step one embed_poset search:
+    the least x such that some copy uses the sets chosen so far, x and must,
+    and otherwise only colored sets above x."""
+    universe = c.colored_ids()
+    chosen = []
+    while len(chosen) < poset.size:
+        floor = chosen[-1] if chosen else -1
+        for x in universe:
+            if x <= floor:
+                continue
+            req = chosen + [x]
+            if must is not None and must not in req:
+                if must < x:
+                    continue
+                req.append(must)
+            pool = chosen + [y for y in universe if y >= x]
+            if embed_poset(poset, mode, pool, labels=c.assign, required=req, n=c.n) is not None:
+                chosen.append(x)
+                break
+        else:
+            assert not chosen, "witness disappeared during minimization"
+            return None
+    return tuple(chosen)
+
+
 @settings(max_examples=200, deadline=None)
 @given(pinned_colorings(5), st.sampled_from(PINNED_SPECS), st.sampled_from(("induced", "weak")),
        st.booleans())
@@ -162,12 +189,54 @@ def test_kernel_minimizer_matches_embed_poset(case, spec, mode, pinned):
     must = s if pinned else None
     kernel = RainbowKernel(n, l, [poset], mode, assign)
     kernel.mark_all()
-    assert _lexmin_sets(c, poset, mode, must, kernel) == _lexmin_sets(c, poset, mode, must, None)
+    assert _lexmin_sets(c, poset, must, kernel) == _embed_lexmin(c, poset, mode, must)
+
+
+def _sparse_coloring(rng, n, l, chains, length):
+    """A few random chains of B_n, each set colored at random: sparse, yet
+    with comparable sets of distinct colors."""
+    assign = [0] * (1 << n)
+    for _ in range(chains):
+        s = 0
+        for _ in range(length):
+            s |= sum(1 << e for e in rng.sample(range(n), rng.randint(1, 3)))
+            assign[s] = rng.randint(1, l)
+    return Coloring(n, l, assign)
+
+
+@pytest.mark.parametrize("n", (14, 20))
+def test_validate_above_table_size_matches_embed_poset(n):
+    # whole cone tables stop at n = 13; above it the masks are computed on
+    # demand, and validate must still report the embed_poset greedy's witness
+    rng = random.Random(n)
+    specs = ("A3", "P3", "V2", "D2") if n == 14 else ("P3", "D2")
+    witnesses = 0
+    for spec in specs:
+        poset = build_poset(spec)
+        c = _sparse_coloring(rng, n, 4, chains=4, length=5)
+        for mode in ("induced", "weak"):
+            got = validate(c, PosetFamily((poset,), mode))
+            want = _embed_lexmin(c, poset, mode, None)
+            assert (None if got is None else got.sets) == want, (spec, mode)
+            witnesses += want is not None
+        must = rng.choice(c.colored_ids())
+        got = validate_incremental(c, must, PosetFamily((poset,), "induced"))
+        assert (None if got is None else got.sets) == _embed_lexmin(c, poset, "induced", must)
+    assert witnesses >= len(specs)
 
 
 def test_validate_incremental_requires_colored_set():
     with pytest.raises(ValueError):
         validate_incremental(Coloring.empty(2, 2), 1, PosetFamily.from_spec("A2"))
+
+
+@pytest.mark.parametrize("just_colored", (-2, -1, 4, 5))
+def test_validate_incremental_rejects_ids_outside_the_lattice(just_colored):
+    c = Coloring(2, 2, [0, 1, 2, 1])
+    fam = PosetFamily.from_spec("A2")
+    assert validate_incremental(c, 2, fam).sets == (1, 2)
+    with pytest.raises(ValueError, match="outside B_2"):
+        validate_incremental(c, just_colored, fam)
 
 
 def test_color_permutation_equivariance():

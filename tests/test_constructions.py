@@ -218,6 +218,52 @@ class TestMaterializedByDefinition:
                                           if _in_halfopen(h, ends[i - 1], ends[i])), 0))
                 assert chain_interval_coloring(n, l).coloring.assign == want, (n, l)
 
+    def test_traces(self):
+        for n in range(4, 13):
+            for l, total in ((2, False), (3, False), (4, False), (3, True), (4, True)):
+                rep = incomparable_traces(n, l, total=total)
+                m = rep.params["m"]
+                traces = [subset_of(c) for c in combinations(range(1, m + 1), m // 2)]
+                traces = traces[:l - 1 if total else l]
+                want = [traces.index(h & full_set(m)) + 1 if h & full_set(m) in traces
+                        else l if total else 0 for h in range(1 << n)]
+                assert rep.coloring.assign == want, (n, l, total)
+
+    def test_lift3(self):
+        def color(h, four):
+            r = h & 7
+            if r in (0, 7):
+                return 4 if four else 0
+            # {i} and {i, i+1 mod 3} take color i
+            return next(i for i in (1, 2, 3)
+                        if r in (1 << (i - 1), 1 << (i - 1) | 1 << (i % 3)))
+
+        for n in range(3, 13):
+            for four in (False, True):
+                rep = lift3_coloring(n, "four_color" if four else "three_color")
+                assert rep.coloring.assign == [color(h, four) for h in range(1 << n)], (n, four)
+
+    def test_p3_total(self):
+        for n in range(2, 13):
+            want = [1 if h & 1 and not h & 2 else 2 if h & 2 and not h & 1 else 3
+                    for h in range(1 << n)]
+            assert p3_total_coloring(n).coloring.assign == want, n
+
+    def test_pk(self):
+        for n in range(4, 13):
+            for k in (4, 5, 7):
+                quota = (1 << n) // k
+                want = [0] * (1 << n)
+                for h in [h for h in range(1 << n) if h & 1 and not h & 2][:quota]:
+                    want[h] = 1
+                for h in [h for h in range(1 << n) if h & 2 and not h & 1][:quota]:
+                    want[h] = 2
+                rest = [h for h in range(1 << n) if not want[h]]
+                for c in range(3, k + 1):
+                    for h in rest[(c - 3) * quota:(c - 2) * quota]:
+                        want[h] = c
+                assert pk_coloring(n, k).coloring.assign == want, (n, k)
+
 
 class TestChainOverlapCheck:
     def test_single_chain_vacuous(self):

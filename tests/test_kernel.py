@@ -1,13 +1,14 @@
 """The bitset rainbow kernel against embed_poset and the brute-force oracles."""
 
+import random
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbow_lattice.kernel import RainbowKernel, mask_tables
-from rainbow_lattice.lattice import KERNEL_CAP, comparable, is_subset
+from rainbow_lattice.kernel import _TABLE_BITS, RainbowKernel, mask_tables
+from rainbow_lattice.lattice import ENUMERATION_CAP, comparable, is_subset
 from rainbow_lattice.posets import build_poset, embed_poset
 from oracles import copy_tuples, oracle_has_rainbow
 
@@ -87,16 +88,34 @@ def test_antichain_search_agrees_with_oracle(case):
             assert kernel.through(s) == oracle_has_rainbow(assign, [t for t in tuples if s in t])
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", [*range(1, 7), 13, 14, 20])
 def test_mask_tables_match_comparable(n):
+    # every pair up to n = 6; above, sampled sets: n = 13 is the largest
+    # whole table, n = 14 a lazy store, and n = 20 looks up more sets than
+    # its store holds, so the store empties itself on the way
     t = mask_tables(n)
-    for s in range(1 << n):
-        for u in range(1 << n):
-            assert (t.down[s] >> u & 1) == is_subset(u, s)
-            assert (t.up[s] >> u & 1) == is_subset(s, u)
-            assert (t.incomp[s] >> u & 1) == (not comparable(s, u))
+    size = 1 << n
+    if n <= 6:
+        sets, others = range(size), range(size)
+    else:
+        rng = random.Random(n)
+        sets = [0, size - 1] + rng.sample(range(size), 150)
+        others = [0, size - 1] + rng.sample(range(size), 30)
+    for s in sets:
+        masks = t.down[s], t.up[s], t.incomp[s]
+        assert max(masks).bit_length() <= size
+        for u in others:
+            assert (masks[0] >> u & 1) == is_subset(u, s)
+            assert (masks[1] >> u & 1) == is_subset(s, u)
+            assert (masks[2] >> u & 1) == (not comparable(s, u))
+        if n == 20:
+            assert s in t.down  # the store keeps what it computed
+    assert isinstance(t.incomp, tuple) == (n <= 13)
+    if n > 13:
+        assert len(t.down) <= _TABLE_BITS >> n
 
 
 def test_mask_tables_capped():
-    with pytest.raises(ValueError, match="n <= "):
-        mask_tables(KERNEL_CAP + 1)
+    # one detector up to the enumeration cap, none beyond it
+    with pytest.raises(ValueError, match="outside 1..20"):
+        mask_tables(ENUMERATION_CAP + 1)
