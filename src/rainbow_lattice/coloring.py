@@ -30,9 +30,10 @@ class Coloring:
             raise ValueError(f"need at least one color, got l={self.l}")
         if len(self.assign) != 1 << self.n:
             raise ValueError(f"assignment length {len(self.assign)} != 2^{self.n}")
-        bad = [v for v in self.assign if not 0 <= v <= self.l]
-        if bad:
-            raise ValueError(f"color {bad[0]} outside 0..{self.l}")
+        # check the distinct values; scan the list only to name the first bad one
+        if not all(0 <= v <= self.l for v in set(self.assign)):
+            bad = next(v for v in self.assign if not 0 <= v <= self.l)
+            raise ValueError(f"color {bad} outside 0..{self.l}")
 
     @classmethod
     def empty(cls, n: int, l: int) -> "Coloring":

@@ -1,12 +1,12 @@
 """Exact max-min color-class search plus the chain-decomposition,
 cross-incomparability and greedy-cover diagnostics.
 
-The solver decides, for each candidate m, whether a valid (partial or
-total) l-coloring with every class of size >= m exists, by depth-first
-assignment over subset ids with incremental rainbow checking, a counting
-prune, first-use color symmetry breaking and optional exact orbit pruning.
-Feasibility is monotone in m, so the optimum is found by binary search
-seeded from the library's constructions.
+The solver finds the largest m such that a valid (partial or total)
+l-coloring with every class of size >= m exists, in one depth-first pass
+over subset ids with incremental rainbow checking, a counting prune,
+first-use color symmetry breaking and optional exact orbit pruning.  The
+pass starts one above the best construction's value and raises m past each
+valid assignment it meets, so refuting the last m is the whole proof.
 """
 
 from __future__ import annotations
@@ -44,13 +44,18 @@ class SolveResult:
                 "witness": self.witness.to_json_dict() if self.witness else None}
 
 
-class _FeasibilitySearch:
-    """One reusable depth-first engine; run(m) returns the lexicographically
-    least valid assignment with all classes >= m, or None."""
+class _MaxMinSearch:
+    """One depth-first pass over the assignments in lexicographic order.
+
+    It asks every leaf for all classes >= m.  A leaf that qualifies becomes
+    the incumbent (`best`) and raises m to its smallest class + 1, so the
+    pass ends with m - 1 as the optimum and `best` as the least valid
+    assignment that attains it (or None when no leaf qualified)."""
 
     def __init__(self, n, l, members, mode, partial, budget, sym_depth):
         self.size = 1 << n
         self.l = l
+        self.cap = self.size // l
         self.partial = partial
         self.budget = budget
         self.nodes = 0
@@ -63,18 +68,22 @@ class _FeasibilitySearch:
                     inv[img] = s
                 self.sym_invs.append(inv)
         self.assign = [0] * self.size
-        self.counts: list[int] = []
+        self.counts = [0] * (l + 1)
+        self.m = 0
+        self.best: list[int] | None = None
         # the kernel reads assign live and owns the per-color masks
         self.kernel = RainbowKernel(n, l, members, mode, self.assign)
         self.color_mask = self.kernel.color_mask
 
-    def run(self, m: int):
-        self.assign[:] = [0] * self.size
-        self.counts = [0] * (self.l + 1)
-        self.kernel.reset()
-        if self._dfs(0, 0, m):
-            return list(self.assign)
-        return None
+    def run(self, m: int) -> bool:
+        """Search from bound m until m passes the cap or the tree is
+        exhausted; False when the node budget runs out first."""
+        self.m = m
+        try:
+            self._dfs(0, 0)
+        except BudgetExceeded:
+            return False
+        return True
 
     def _canonical_prefix(self, pos: int) -> bool:
         # Prune when some element permutation maps the assigned prefix to a
@@ -93,12 +102,19 @@ class _FeasibilitySearch:
                     break
         return True
 
-    def _dfs(self, pos: int, used: int, m: int) -> bool:
+    def _dfs(self, pos: int, used: int) -> bool:
+        # True stops the pass: the incumbent reached the cap
         if pos == self.size:
-            return all(self.counts[i] >= m for i in range(1, self.l + 1))
+            low = min(self.counts[1:])
+            if low < self.m:
+                return False
+            self.best = list(self.assign)
+            self.m = low + 1
+            return self.m > self.cap
         if self.nodes >= self.budget:
             raise BudgetExceeded(self.nodes)
         self.nodes += 1
+        m = self.m
         deficit = 0
         for i in range(1, self.l + 1):
             d = m - self.counts[i]
@@ -109,7 +125,7 @@ class _FeasibilitySearch:
         if self.sym_invs and 0 < pos <= self.sym_depth and not self._canonical_prefix(pos):
             return False
         if self.partial:
-            if self._dfs(pos + 1, used, m):
+            if self._dfs(pos + 1, used):
                 return True
         top = used + 1 if used < self.l else self.l
         bit = 1 << pos
@@ -119,7 +135,7 @@ class _FeasibilitySearch:
             self.color_mask[c] |= bit
             # ids are assigned in ascending order, so pos is the newest set
             if not self.kernel.through(pos, newest=True):
-                if self._dfs(pos + 1, used if c <= used else c, m):
+                if self._dfs(pos + 1, used if c <= used else c):
                     return True
             self.counts[c] -= 1
             self.color_mask[c] &= ~bit
@@ -197,10 +213,12 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
 
     kind "partial" admits uncolored sets, "total" does not.  The answer never
     exceeds floor(2^n / l).  Exceeding the node budget downgrades the status
-    to lower_bound_only; it never yields a wrong "optimal", and `upper`
-    keeps the bound the finished probes proved.  Witnesses found
-    by search are the lexicographically least valid assignment; a witness
-    taken straight from a construction is reported via seed_source.
+    to lower_bound_only; it never yields a wrong "optimal", `value` keeps
+    the best class size found so far and `upper` is the cap, since a pass
+    cut short proves nothing above its incumbent.  Witnesses found by
+    search are the lexicographically least valid assignment at the
+    optimum; a witness taken straight from a construction is reported via
+    seed_source.
     The search checks rainbow copies with the bitset kernel at every n.
     """
     check_dimension(n)
@@ -218,44 +236,32 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
         return SolveResult(cap, cap, _equal_split_coloring(n, l, kind), "optimal",
                            0, cap, "trivial-cap")
 
-    lo, witness, source = 0, None, "none"
+    lo, witness, source = -1, None, "none"
     if use_construction_seed:
         seeded = _construction_seed(n, l, forbidden, kind)
         if seeded:
             lo, witness, source = seeded
     if witness is None and kind == "partial":
-        witness, source = Coloring.empty(n, l), "empty"
-    if witness is not None and lo >= cap:
+        lo, witness, source = 0, Coloring.empty(n, l), "empty"
+    if lo >= cap:
         return SolveResult(cap, cap, witness, "optimal", 0, cap, source)
 
     if sym_prune is None:
         sym_prune = n <= CANONICAL_CAP
-    search = _FeasibilitySearch(n, l, members, forbidden.mode, kind == "partial",
-                                budget, n if sym_prune else 0)
-    status = "optimal"
+    search = _MaxMinSearch(n, l, members, forbidden.mode, kind == "partial",
+                           budget, n if sym_prune else 0)
+    # with no witness yet (total colorings may be infeasible outright, for
+    # 1-element members) the pass starts at m = 0 and takes any valid leaf
+    finished = search.run(lo + 1)
+    lo = search.m - 1
+    if search.best is not None:
+        witness, source = Coloring(n, l, search.best), "search"
     if witness is None:
-        # total colorings may be infeasible outright (1-element members)
-        try:
-            res = search.run(0)
-        except BudgetExceeded:
-            return SolveResult(-1, cap, None, "lower_bound_only", search.nodes, cap, source)
-        if res is None:
+        if finished:
             return SolveResult(-1, -1, None, "optimal", search.nodes, cap, "infeasible")
-        witness, source = Coloring(n, l, res), "search"
-
-    hi = cap
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        try:
-            res = search.run(mid)
-        except BudgetExceeded:
-            status = "lower_bound_only"
-            break
-        if res is not None:
-            lo = mid
-            witness, source = Coloring(n, l, res), "search"
-        else:
-            hi = mid - 1
+        return SolveResult(-1, cap, None, "lower_bound_only", search.nodes, cap, source)
+    # a pass cut short proves nothing above its incumbent
+    status, hi = ("optimal", lo) if finished else ("lower_bound_only", cap)
 
     stats = class_stats(witness)
     if stats.min_size < lo or has_rainbow(witness, forbidden):

@@ -150,13 +150,16 @@ def max_cross_sperner_product_exhaustive(n: int) -> int:
 # claim runners
 
 
-def _solver_claim(n, l, spec, kind, expected, mode="induced"):
-    def run(seed, full, budget):
-        fam = PosetFamily.from_spec(spec, mode)
-        res = solve_min_class(n, l, fam, kind=kind, budget=budget)
-        status = "LOWER-BOUND-ONLY" if res.status == "lower_bound_only" else None
-        return expected, res.value, status, f"nodes={res.nodes_explored}"
-    return run
+def _certified_min(rep):
+    """The smallest class of a construction's coloring, measured on the
+    coloring: "invalid" unless it has no rainbow copy and its class sizes
+    equal the report's class sizes and claimed minimum."""
+    if validate(rep.coloring, rep.forbidden) is not None:
+        return "invalid"
+    stats = class_stats(rep.coloring)
+    if stats.sizes != rep.class_sizes or stats.min_size != rep.claimed_min:
+        return "invalid"
+    return stats.min_size
 
 
 def _chain_values_claim(seed, full, budget):
@@ -165,10 +168,7 @@ def _chain_values_claim(seed, full, budget):
     got = []
     for n, l in grid:
         rep = chain_interval_coloring(n, l)
-        ok = validate(rep.coloring, rep.forbidden) is None
-        stats = class_stats(rep.coloring)
-        exact = stats.min_size == rep.claimed_min == rep.formula_min
-        got.append(stats.min_size if (ok and exact) else "invalid")
+        got.append(_certified_min(rep) if rep.claimed_min == rep.formula_min else "invalid")
     return expect, tuple(got), None, ""
 
 
@@ -246,19 +246,14 @@ def _flagged_small_A2_claim(n):
 
 
 def _lower_bound_claim_n5(seed, full, budget):
-    rep = chain_interval_coloring(5, 2)
-    ok = validate(rep.coloring, rep.forbidden) is None
-    got = class_stats(rep.coloring).min_size if ok else "invalid"
-    return 5, got, None, "construction-witnessed lower bound"
+    return 5, _certified_min(chain_interval_coloring(5, 2)), None, "construction-witnessed lower bound"
 
 
 def _traces_claim(seed, full, budget):
     results = []
     expect = []
     for n, l, total in ((4, 2, False), (3, 3, False), (6, 4, False), (4, 3, True)):
-        rep = incomparable_traces(n, l, total=total)
-        ok = validate(rep.coloring, rep.forbidden) is None
-        results.append(rep.min_size if ok and rep.min_size == rep.claimed_min else "invalid")
+        results.append(_certified_min(incomparable_traces(n, l, total=total)))
         m = bounds.m_of_l(l - 1 if total else l)
         expect.append(2 ** (n - m))
     return tuple(expect), tuple(results), None, ""
@@ -267,9 +262,7 @@ def _traces_claim(seed, full, budget):
 def _pk_claim(seed, full, budget):
     out, want = [], []
     for n, k in ((4, 4), (4, 5), (5, 4)):
-        rep = pk_coloring(n, k)
-        ok = validate(rep.coloring, rep.forbidden) is None
-        out.append(rep.min_size if ok and rep.min_size == rep.claimed_min else "invalid")
+        out.append(_certified_min(pk_coloring(n, k)))
         want.append(2 ** n // k)
     return tuple(want), tuple(out), None, ""
 
@@ -279,9 +272,7 @@ def _lift3_claim(variant, top_n):
         hi = top_n if not full else 8
         out, want = [], []
         for n in range(3, hi + 1):
-            rep = lift3_coloring(n, variant)
-            ok = validate(rep.coloring, rep.forbidden) is None
-            out.append(rep.min_size if ok and rep.min_size == rep.claimed_min else "invalid")
+            out.append(_certified_min(lift3_coloring(n, variant)))
             want.append(2 ** (n - 2))
         return tuple(want), tuple(out), None, ""
     return run
@@ -292,10 +283,8 @@ def _p3_claim(seed, full, budget):
     out, want = [], []
     for n in range(2, hi + 1):
         rep = p3_total_coloring(n)
-        ok = validate(rep.coloring, rep.forbidden) is None
-        stats = class_stats(rep.coloring)
-        good = ok and stats.sizes == (2 ** (n - 2), 2 ** (n - 2), 2 ** (n - 1))
-        out.append(stats.min_size if good else "invalid")
+        sizes = (2 ** (n - 2), 2 ** (n - 2), 2 ** (n - 1))
+        out.append(_certified_min(rep) if rep.class_sizes == sizes else "invalid")
         want.append(2 ** (n - 2))
     return tuple(want), tuple(out), None, ""
 
@@ -428,6 +417,21 @@ class _ClaimSpec:
 
 _KV = bounds.known_value
 
+
+def _solver_claim(n, l, spec, kind="partial", full_only=False):
+    """A hard claim that the solver finds the known value of f (partial) or
+    F (total) for the family spec."""
+    known = _KV(n, l, spec, kind)
+    name = f"solve/{'F' if kind == 'total' else 'f'}({n},{l},{spec.replace(',', '+')})"
+
+    def run(seed, full, budget):
+        fam = PosetFamily.from_spec(spec)
+        res = solve_min_class(n, l, fam, kind=kind, budget=budget)
+        status = "LOWER-BOUND-ONLY" if res.status == "lower_bound_only" else None
+        return known.value, res.value, status, f"nodes={res.nodes_explored}"
+    return _ClaimSpec(name, known.source, True, full_only, run)
+
+
 _CLAIMS: list[_ClaimSpec] = [
     _ClaimSpec("numeric/m-of-l", "central binomial threshold", True, False, _m_of_l_claim),
     _ClaimSpec("numeric/formulaA2-spots", _KV(4, 2, "A2").source, True, False, _formula_spots_claim),
@@ -441,23 +445,16 @@ _CLAIMS: list[_ClaimSpec] = [
     _ClaimSpec("numeric/delta-decreasing", "overlap step decrement monotone", True, False,
                _delta_claim),
     _ClaimSpec("numeric/c0-root-interval", "entropy-equation root scan", False, False, _c0_claim),
-    _ClaimSpec("solve/f(2,2,P2)", _KV(2, 2, "P2").source, True, False,
-               _solver_claim(2, 2, "P2", "partial", _KV(2, 2, "P2").value)),
-    _ClaimSpec("solve/f(3,3,P3+V2+W2)", _KV(3, 3, "P3,V2,W2").source, True, False,
-               _solver_claim(3, 3, "P3,V2,W2", "partial", _KV(3, 3, "P3,V2,W2").value)),
-    _ClaimSpec("solve/F(3,4,D2)", _KV(3, 4, "D2", "total").source, True, False,
-               _solver_claim(3, 4, "D2", "total", _KV(3, 4, "D2", "total").value)),
-    _ClaimSpec("solve/f(3,4,D2)", _KV(3, 4, "D2").source, True, False,
-               _solver_claim(3, 4, "D2", "partial", _KV(3, 4, "D2").value)),
-    _ClaimSpec("solve/f(4,4,P4)", _KV(4, 4, "P4").source, True, False,
-               _solver_claim(4, 4, "P4", "partial", _KV(4, 4, "P4").value)),
+    _solver_claim(2, 2, "P2"),
+    _solver_claim(3, 3, "P3,V2,W2"),
+    _solver_claim(3, 4, "D2", "total"),
+    _solver_claim(3, 4, "D2"),
+    _solver_claim(4, 4, "P4"),
     _ClaimSpec("solve/f(2,2,A2)", _KV(2, 2, "A2").source, False, False, _flagged_small_A2_claim(2)),
     _ClaimSpec("solve/f(3,2,A2)", _KV(3, 2, "A2").source, False, False, _flagged_small_A2_claim(3)),
     _ClaimSpec("solve/f(5,2,A2)-lower", _KV(5, 2, "A2").source, True, False, _lower_bound_claim_n5),
-    _ClaimSpec("solve/f(4,2,A2)", _KV(4, 2, "A2").source, True, True,
-               _solver_claim(4, 2, "A2", "partial", _KV(4, 2, "A2").value)),
-    _ClaimSpec("solve/f(4,2,P2)", _KV(4, 2, "P2").source, True, True,
-               _solver_claim(4, 2, "P2", "partial", _KV(4, 2, "P2").value)),
+    _solver_claim(4, 2, "A2", full_only=True),
+    _solver_claim(4, 2, "P2", full_only=True),
     _ClaimSpec("construct/chain-values", _KV(4, 2, "A2").source, True, False, _chain_values_claim),
     _ClaimSpec("construct/lift3-three", _KV(3, 3, "P3,V2,W2").source, True, False,
                _lift3_claim("three_color", 6)),

@@ -64,6 +64,29 @@ def oracle_has_rainbow(assign, tuples) -> bool:
     return False
 
 
+def oracle_least_witness(n: int, l: int, tuple_lists, kind: str):
+    """(value, assignment): the max-min class size and the first assignment,
+    in itertools.product order, that has no rainbow copy and attains it.
+
+    Returns (-1, None) when no valid assignment exists.  Assignments whose
+    smallest class cannot beat the best value so far skip the rainbow check.
+    """
+    size = 1 << n
+    colors = range(1, l + 1) if kind == "total" else range(l + 1)
+    best, first = -1, None
+    for assign in product(colors, repeat=size):
+        counts = [0] * (l + 1)
+        for v in assign:
+            counts[v] += 1
+        low = min(counts[1:])
+        if low <= best:
+            continue
+        if any(oracle_has_rainbow(assign, tuples) for tuples in tuple_lists):
+            continue
+        best, first = low, list(assign)
+    return best, first
+
+
 def oracle_solve(n: int, l: int, tuple_lists, kind: str) -> int:
     """Max-min class size by full enumeration of all (l+1)^(2^n) assignments.
 
@@ -71,17 +94,7 @@ def oracle_solve(n: int, l: int, tuple_lists, kind: str) -> int:
     Returns -1 when no valid assignment exists (possible for total colorings
     against one-element posets).
     """
-    size = 1 << n
-    colors = range(1, l + 1) if kind == "total" else range(l + 1)
-    best = -1
-    for assign in product(colors, repeat=size):
-        if any(oracle_has_rainbow(assign, tuples) for tuples in tuple_lists):
-            continue
-        counts = [0] * (l + 1)
-        for v in assign:
-            counts[v] += 1
-        best = max(best, min(counts[1:]))
-    return best
+    return oracle_least_witness(n, l, tuple_lists, kind)[0]
 
 
 def oracle_cone(n: int, f: int, kind: str) -> list[int]:

@@ -296,6 +296,35 @@ def test_json_roundtrip():
     assert Coloring.from_json_dict(c.to_json_dict()) == c
 
 
+@st.composite
+def _colorings(draw):
+    n, l = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    low = 1 if draw(st.booleans()) else 0   # total or partial
+    assign = draw(st.lists(st.integers(low, l), min_size=1 << n, max_size=1 << n))
+    return Coloring(n, l, assign)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_colorings())
+def test_json_roundtrip_random(c):
+    assert Coloring.from_json_dict(c.to_json_dict()) == c
+
+
+@settings(max_examples=200, deadline=None)
+@given(_colorings(), st.data())
+def test_out_of_range_color_names_first_bad_value(c, data):
+    size = 1 << c.n
+    bad = st.one_of(st.integers(-5, -1), st.integers(c.l + 1, c.l + 5))
+    spots = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=4,
+                               unique=True))
+    assign = list(c.assign)
+    for s in spots:
+        assign[s] = data.draw(bad)
+    first = assign[min(spots)]
+    with pytest.raises(ValueError, match=f"^color {first} outside 0..{c.l}$"):
+        Coloring(c.n, c.l, assign)
+
+
 def test_canonicalize_coloring():
     c1 = Coloring(2, 1, [0, 1, 0, 0])   # {1} colored
     c2 = Coloring(2, 1, [0, 0, 1, 0])   # {2} colored

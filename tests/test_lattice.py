@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbow_lattice.lattice import (CANONICAL_CAP, Interval, canonical_assignment,
                                      comparable, cone, cone_size, format_subset,
@@ -84,6 +86,22 @@ def test_subset_literals():
         parse_subset("{1,3}", n=2)
     with pytest.raises(ValueError):
         parse_subset(-1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_subset_literal_roundtrip_and_range(n, data):
+    s = data.draw(st.integers(0, (1 << n) - 1))
+    assert parse_subset(format_subset(s), n) == s
+    assert parse_subset(str(s), n) == s
+    outside = data.draw(st.one_of(st.integers(-(1 << n), -1),
+                                  st.integers(1 << n, 1 << (n + 2))))
+    for literal in (outside, str(outside)):
+        with pytest.raises(ValueError, match="out of range"):
+            parse_subset(literal, n)
+    if outside > 0:
+        with pytest.raises(ValueError, match="out of range"):
+            parse_subset(format_subset(outside), n)
 
 
 def test_permutation_table_is_bijection():

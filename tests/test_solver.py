@@ -15,7 +15,7 @@ from rainbow_lattice.solver import (az_decompose, cross_sperner_check,
 from rainbow_lattice.verify import (max_cross_sperner_product_exhaustive,
                                     random_cross_comparable_families,
                                     random_valid_coloring)
-from oracles import copy_tuples, oracle_solve
+from oracles import copy_tuples, oracle_least_witness, oracle_solve
 
 
 class TestSolveKnownValues:
@@ -39,7 +39,7 @@ class TestSolveKnownValues:
 
     @pytest.mark.parametrize("spec,nodes,source,witness", [
         ("P3", 36772, "construction:p3", [3, 1, 2, 3] * 4),
-        ("V2", 17539, "search", [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4),
+        ("V2", 18059, "search", [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4),
     ])
     def test_search_pinned_n4(self, spec, nodes, source, witness):
         # exact node counts and witnesses: a detector change must not move the search
@@ -54,9 +54,9 @@ class TestSolveKnownValues:
         assert plain.witness.assign == [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4
 
     @pytest.mark.parametrize("kind,n,l,spec,value,nodes,witness", [
-        ("partial", 4, 4, "A3", 3, 99579, [1, 0, 1, 0, 1, 0, 2, 0, 3, 4, 4, 2, 4, 2, 3, 3]),
-        ("total", 4, 4, "A3", 2, 9997, [1, 1, 1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 3, 4, 4, 3]),
-        ("partial", 5, 5, "A5", 6, 340444,
+        ("partial", 4, 4, "A3", 3, 99602, [1, 0, 1, 0, 1, 0, 2, 0, 3, 4, 4, 2, 4, 2, 3, 3]),
+        ("total", 4, 4, "A3", 2, 9823, [1, 1, 1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 3, 4, 4, 3]),
+        ("partial", 5, 5, "A5", 6, 340776,
          [0, 0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3, 4, 4, 3, 5, 2, 5, 3, 3, 4,
           5, 3, 5, 4, 5, 5, 4, 4]),
     ])
@@ -86,6 +86,22 @@ class TestSolveOracle:
                 want = oracle_solve(n, l, tuples, kind)
                 got = solve_min_class(n, l, PosetFamily((p,), "induced"), kind=kind)
                 assert got.value == want, (n, l, spec, kind)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("l,specs", [(2, ["A2", "P2"]),
+                                         (3, ["A2", "A3", "P2", "P3", "V2", "W2"])])
+    @pytest.mark.parametrize("kind", ["partial", "total"])
+    def test_witness_is_least_in_product_order(self, n, l, specs, kind):
+        # the search's witness at the optimum is the first valid assignment
+        # attaining it, with or without orbit pruning
+        for spec in specs:
+            p = build_poset(spec)
+            value, first = oracle_least_witness(n, l, [copy_tuples(n, p, "induced")], kind)
+            for sym_prune in (True, False):
+                got = solve_min_class(n, l, PosetFamily((p,), "induced"), kind=kind,
+                                      use_construction_seed=False, sym_prune=sym_prune)
+                assert (got.value, got.witness.assign) == (value, first), \
+                    (n, l, spec, kind, sym_prune)
 
     def test_weak_mode_against_oracle(self):
         for spec in ("P2", "P3", "V2"):
@@ -131,15 +147,21 @@ class TestSolveContract:
         assert class_stats(res.witness).min_size >= res.value
 
     def test_budget_keeps_proven_upper_bound(self):
-        # lo = 3 from the chain construction, cap = 8.  The probe at m = 6 is
-        # refuted after 3,602 nodes (upper 5); the probe at m = 4 runs out.
+        # lo = 3 from the chain construction, cap = 8.  The single pass
+        # refutes m = 4 in 25,484 nodes; one node fewer proves nothing above
+        # the incumbent, so upper stays at the cap.
         fam = PosetFamily.from_spec("A2")
         res = solve_min_class(4, 2, fam, budget=10_000)
-        assert (res.status, res.value, res.upper) == ("lower_bound_only", 3, 5)
+        assert (res.status, res.value, res.upper) == ("lower_bound_only", 3, 8)
         assert res.nodes_explored == 10_000
-        assert res.to_json_dict()["upper"] == 5
-        assert solve_min_class(4, 2, fam, budget=3_602).upper == 5
-        assert solve_min_class(4, 2, fam, budget=3_601).upper == 8
+        assert res.to_json_dict()["upper"] == 8
+        done = solve_min_class(4, 2, fam, budget=25_484)
+        assert (done.status, done.value, done.upper) == ("optimal", 3, 3)
+        cut = solve_min_class(4, 2, fam, budget=25_483)
+        assert (cut.status, cut.value, cut.upper) == ("lower_bound_only", 3, 8)
+        # budget 0 is a set-up call: no node, no error
+        none = solve_min_class(4, 2, fam, budget=0)
+        assert (none.status, none.value, none.nodes_explored) == ("lower_bound_only", 3, 0)
 
     def test_oversized_family_trivial_cap(self):
         with warnings.catch_warnings(record=True) as caught:
