@@ -6,12 +6,15 @@ incomparable sets turn each order constraint of a copy into one AND, so the
 candidates for the image of a poset element are a single mask: the colored
 sets of the colors not used yet, cut by the cones of the images already
 placed.  Masks have 2^n bits: whole tables up to n = 13, on demand above.
+The same cones give the domain rules by which the solver forward-checks
+posets of two or three elements (domain_rule).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 from .lattice import check_dimension
 from .posets import Poset
@@ -73,6 +76,16 @@ def mask_tables(n: int) -> MaskTables:
     return MaskTables(down, up, incomp)
 
 
+def _relation(poset: Poset, x: int, y: int, induced: bool, tables: MaskTables):
+    """The table T with image(y) in T[image(x)] in every copy of poset, or
+    None when the pair constrains nothing (incomparable, weak mode)."""
+    if poset.is_less(x, y):
+        return tables.up
+    if poset.is_less(y, x):
+        return tables.down
+    return tables.incomp if induced else None
+
+
 @lru_cache(maxsize=256)
 def _copy_plans(poset: Poset, induced: bool, n: int):
     """For each element e0 pinned first: (e0 is maximal, steps).  Step k
@@ -93,17 +106,59 @@ def _copy_plans(poset: Poset, induced: bool, n: int):
             rest.remove(e)
             step = []
             for j, q in enumerate(placed):
-                if poset.is_less(q, e):
-                    step.append((tables.up, j))
-                elif poset.is_less(e, q):
-                    step.append((tables.down, j))
-                elif induced:
-                    step.append((tables.incomp, j))
+                table = _relation(poset, q, e, induced, tables)
+                if table is not None:
+                    step.append((table, j))
             steps.append(tuple(step))
             placed.append(e)
         maximal = not any(poset.is_less(e0, q) for q in range(poset.size))
         plans.append((maximal, tuple(steps)))
     return tuple(plans)
+
+
+class _Whole:
+    """The cone table of a pair that constrains nothing: every set of B_n."""
+
+    __slots__ = ("mask",)
+
+    def __init__(self, n: int):
+        self.mask = (1 << (1 << n)) - 1
+
+    def __getitem__(self, s: int) -> int:
+        return self.mask
+
+
+@lru_cache(maxsize=256)
+def domain_rule(poset: Poset, induced: bool, n: int):
+    """How placed sets shrink the color domains of a search that avoids
+    rainbow copies of poset: (cones, triples) for posets of two or three
+    elements, None for the others, which need a copy search.
+
+    Placing s in color c takes T[s] from every other color for each T in
+    cones (two elements: those sets would pair with s into a copy).  For
+    each (near, mine, theirs) in triples and each placed t of a color
+    b != c with t in near[s], mine[s] & theirs[t] leaves every color but
+    b and c (three elements: s and t are two images, those sets the third).
+    The tables come from the member's relations, one per ordered pair of
+    roles, like the steps of _copy_plans.
+    """
+    if not 2 <= poset.size <= 3:
+        return None
+    tables, whole = mask_tables(n), _Whole(n)
+
+    def rel(x, y):
+        table = _relation(poset, x, y, induced, tables)
+        return whole if table is None else table
+
+    # tables compare by identity: two lazy stores are equal dicts while empty
+    if poset.size == 2:
+        cones = {id(t): t for t in (rel(0, 1), rel(1, 0))}
+        return tuple(cones.values()), ()
+    triples = {}
+    for i, j, k in permutations(range(3)):
+        rule = (rel(i, j), rel(i, k), rel(j, k))
+        triples[tuple(map(id, rule))] = rule
+    return (), tuple(triples.values())
 
 
 class RainbowKernel:
@@ -113,7 +168,8 @@ class RainbowKernel:
     `color_mask[c]` holds the sets of color c the search may use and is
     kept by the caller, or filled by mark_all() and scan(); color_mask[0]
     stays 0.  Induced antichains take the forward-checked clique search,
-    every other member the generic copy search.
+    weak ones a count of the colors in use (any k distinctly colored sets
+    form a weak copy of A_k), every other member the generic copy search.
     """
 
     def __init__(self, n: int, l: int, members, mode: str, assign):
@@ -123,13 +179,9 @@ class RainbowKernel:
         self.color_mask = [0] * (l + 1)
         self.incomp = mask_tables(n).incomp
         self.induced = mode == "induced"
-        self.antichain_sizes = sorted({p.size for p in members if self._is_clique(p)})
-        self.plans = [plan for p in members if not self._is_clique(p)
+        self.antichain_sizes = sorted({p.size for p in members if p.is_antichain()})
+        self.plans = [plan for p in members if not p.is_antichain()
                       for plan in _copy_plans(p, self.induced, n)]
-
-    def _is_clique(self, poset: Poset) -> bool:
-        """Whether poset takes the antichain clique search."""
-        return self.induced and poset.is_antichain()
 
     def reset(self) -> None:
         self.color_mask[:] = [0] * (self.l + 1)
@@ -190,13 +242,15 @@ class RainbowKernel:
             return False
         above = -1 << (x + 1)
         others = [m & above for c, m in enumerate(self.color_mask) if c not in colors]
-        if self._is_clique(poset):
+        if poset.is_antichain():
+            need = poset.size - len(req)
+            if not self.induced:
+                return sum(1 for m in others if m) >= need
             inc = -1
             for s in req:
                 if not inc >> s & 1:  # s is comparable to a required set
                     return False
                 inc &= self.incomp[s]
-            need = poset.size - len(req)
             if not need:
                 return True
             cut = [m for cm in others if (m := cm & inc)]
@@ -241,9 +295,13 @@ class RainbowKernel:
 
     def _rainbow_antichain_with(self, pos: int, k: int) -> bool:
         """A rainbow antichain of size k through pos: one set from each of
-        k-1 other colors, pairwise incomparable and incomparable to pos."""
+        k-1 other colors, pairwise incomparable and incomparable to pos
+        (induced), or any k-1 other colors in use (weak)."""
         if k == 1:
             return True
+        if not self.induced:
+            base = self.assign[pos]
+            return sum(1 for c, m in enumerate(self.color_mask) if m and c != base) >= k - 1
         # dropping pos's own color from inc empties its mask; color 0 has none
         inc = self.incomp[pos] & ~self.color_mask[self.assign[pos]]
         masks = [m for cm in self.color_mask if (m := cm & inc)]

@@ -3,10 +3,14 @@ cross-incomparability and greedy-cover diagnostics.
 
 The solver finds the largest m such that a valid (partial or total)
 l-coloring with every class of size >= m exists, in one depth-first pass
-over subset ids with incremental rainbow checking, a counting prune,
-first-use color symmetry breaking and optional exact orbit pruning.  The
-pass starts one above the best construction's value and raises m past each
-valid assignment it meets, so refuting the last m is the whole proof.
+over subset ids with first-use color symmetry breaking and optional exact
+orbit pruning.  Forbidden members of two or three elements are
+forward-checked: each color keeps a domain mask of the sets it may still
+take, so a color that would complete a rainbow copy is never tried, and
+the pass backs up once some color can no longer reach m.  The bitset
+kernel searches for copies of the other members after each placement.
+The pass starts one above the best construction's value and raises m past
+each valid assignment it meets, so refuting the last m is the whole proof.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from .coloring import Coloring, PosetFamily, class_stats, has_rainbow, validate
 from .constructions import (chain_interval_coloring, incomparable_traces,
                             lift3_coloring, p3_total_coloring, pk_coloring)
-from .kernel import RainbowKernel
+from .kernel import RainbowKernel, domain_rule
 from .lattice import (CANONICAL_CAP, all_subset_permutation_tables, check_dimension,
                       comparable, full_set, is_subset, submasks_ascending)
 from .posets import Poset, antichain, chain, diamond, vee, wedge
@@ -50,7 +54,13 @@ class _MaxMinSearch:
     It asks every leaf for all classes >= m.  A leaf that qualifies becomes
     the incumbent (`best`) and raises m to its smallest class + 1, so the
     pass ends with m - 1 as the optimum and `best` as the least valid
-    assignment that attains it (or None when no leaf qualified)."""
+    assignment that attains it (or None when no leaf qualified).
+
+    Members of two or three elements are forward-checked: `allowed[c]`
+    holds the sets that color c may still take without completing a
+    rainbow copy with the sets already placed (see kernel.domain_rule).
+    The kernel searches for copies of the other members after each
+    placement."""
 
     def __init__(self, n, l, members, mode, partial, budget, sym_depth):
         self.size = 1 << n
@@ -71,9 +81,17 @@ class _MaxMinSearch:
         self.counts = [0] * (l + 1)
         self.m = 0
         self.best: list[int] | None = None
+        rules = [domain_rule(p, mode == "induced", n) for p in members]
+        unruled = [p for p, rule in zip(members, rules) if rule is None]
+        rules = [rule for rule in rules if rule is not None]
         # the kernel reads assign live and owns the per-color masks
-        self.kernel = RainbowKernel(n, l, members, mode, self.assign)
+        self.kernel = RainbowKernel(n, l, unruled, mode, self.assign)
         self.color_mask = self.kernel.color_mask
+        self.search_copies = bool(unruled)
+        self.cones = tuple(t for cones, _ in rules for t in cones)
+        self.triples = tuple(t for _, triples in rules for t in triples)
+        # None when no member has a rule: the search keeps no domains then
+        self.allowed = [(1 << self.size) - 1] * (l + 1) if rules else None
 
     def run(self, m: int) -> bool:
         """Search from bound m until m passes the cap or the tree is
@@ -102,6 +120,37 @@ class _MaxMinSearch:
                     break
         return True
 
+    def _shrink(self, s: int, c: int) -> list[int]:
+        """Take from the other colors' domains every set that would complete
+        a rainbow copy with s, just placed in color c, and the sets placed
+        before it.  Returns the domains as they were."""
+        allowed, color_mask, l = self.allowed, self.color_mask, self.l
+        saved = allowed.copy()
+        cone = 0
+        for table in self.cones:
+            cone |= table[s]
+        # lose[b]: the third sets of copies through s and a set of color b
+        lose = [0] * (l + 1)
+        for near, mine, theirs in self.triples:
+            close, own = near[s], mine[s]
+            for b in range(1, l + 1):
+                placed = color_mask[b] & close if b != c else 0
+                if placed:
+                    reach = 0
+                    while placed:
+                        low = placed & -placed
+                        reach |= theirs[low.bit_length() - 1]
+                        placed ^= low
+                    lose[b] |= own & reach
+        for b in range(1, l + 1):
+            if b != c:
+                kill = cone
+                for x in range(1, l + 1):
+                    if x != b:
+                        kill |= lose[x]  # lose[c] stays 0
+                allowed[b] &= ~kill
+        return saved
+
     def _dfs(self, pos: int, used: int) -> bool:
         # True stops the pass: the incumbent reached the cap
         if pos == self.size:
@@ -114,11 +163,14 @@ class _MaxMinSearch:
         if self.nodes >= self.budget:
             raise BudgetExceeded(self.nodes)
         self.nodes += 1
-        m = self.m
+        m, counts, allowed = self.m, self.counts, self.allowed
         deficit = 0
-        for i in range(1, self.l + 1):
-            d = m - self.counts[i]
+        for c in range(1, self.l + 1):
+            d = m - counts[c]
             if d > 0:
+                # color c reaches m only through the sets it may still take
+                if allowed and (allowed[c] >> pos).bit_count() < d:
+                    return False
                 deficit += d
         if deficit > self.size - pos:
             return False
@@ -127,19 +179,25 @@ class _MaxMinSearch:
         if self.partial:
             if self._dfs(pos + 1, used):
                 return True
+        assign, color_mask, search_copies = self.assign, self.color_mask, self.search_copies
         top = used + 1 if used < self.l else self.l
         bit = 1 << pos
         for c in range(1, top + 1):
-            self.assign[pos] = c
-            self.counts[c] += 1
-            self.color_mask[c] |= bit
+            if allowed and not allowed[c] & bit:
+                continue
+            assign[pos] = c
+            counts[c] += 1
+            color_mask[c] |= bit
+            saved = self._shrink(pos, c) if allowed else None
             # ids are assigned in ascending order, so pos is the newest set
-            if not self.kernel.through(pos, newest=True):
+            if not (search_copies and self.kernel.through(pos, newest=True)):
                 if self._dfs(pos + 1, used if c <= used else c):
                     return True
-            self.counts[c] -= 1
-            self.color_mask[c] &= ~bit
-        self.assign[pos] = 0
+            if saved:
+                allowed[:] = saved
+            counts[c] -= 1
+            color_mask[c] &= ~bit
+        assign[pos] = 0
         return False
 
 

@@ -245,10 +245,6 @@ def _flagged_small_A2_claim(n):
     return run
 
 
-def _lower_bound_claim_n5(seed, full, budget):
-    return 5, _certified_min(chain_interval_coloring(5, 2)), None, "construction-witnessed lower bound"
-
-
 def _traces_claim(seed, full, budget):
     results = []
     expect = []
@@ -452,9 +448,10 @@ _CLAIMS: list[_ClaimSpec] = [
     _solver_claim(4, 4, "P4"),
     _ClaimSpec("solve/f(2,2,A2)", _KV(2, 2, "A2").source, False, False, _flagged_small_A2_claim(2)),
     _ClaimSpec("solve/f(3,2,A2)", _KV(3, 2, "A2").source, False, False, _flagged_small_A2_claim(3)),
-    _ClaimSpec("solve/f(5,2,A2)-lower", _KV(5, 2, "A2").source, True, False, _lower_bound_claim_n5),
-    _solver_claim(4, 2, "A2", full_only=True),
-    _solver_claim(4, 2, "P2", full_only=True),
+    _solver_claim(5, 2, "A2"),
+    _solver_claim(4, 2, "A2"),
+    _solver_claim(4, 2, "P2"),
+    _solver_claim(5, 2, "P2", full_only=True),
     _ClaimSpec("construct/chain-values", _KV(4, 2, "A2").source, True, False, _chain_values_claim),
     _ClaimSpec("construct/lift3-three", _KV(3, 3, "P3,V2,W2").source, True, False,
                _lift3_claim("three_color", 6)),

@@ -18,6 +18,23 @@ from rainbow_lattice.verify import (max_cross_sperner_product_exhaustive,
 from oracles import copy_tuples, oracle_least_witness, oracle_solve
 
 
+# every poset of at most three elements: the members the search forward-checks
+SMALL_SHAPES = ("A1", "A2", "P2", "A3", "P3", "V2", "W2", "P2+A1")
+
+
+def _agrees_with_oracle(n, l, specs, mode, kind):
+    """The search's value and witness at the optimum are the oracle's: the
+    first valid assignment attaining it, with or without orbit pruning."""
+    posets = [build_poset(s) for s in specs]
+    value, first = oracle_least_witness(
+        n, l, [copy_tuples(n, p, mode) for p in posets if p.size <= l], kind)
+    for sym_prune in (True, False):
+        got = solve_min_class(n, l, PosetFamily(tuple(posets), mode), kind=kind,
+                              use_construction_seed=False, sym_prune=sym_prune)
+        assert (got.value, got.witness and got.witness.assign) == (value, first), \
+            (n, l, specs, mode, kind, sym_prune)
+
+
 class TestSolveKnownValues:
     def test_f_4_2_A2(self):
         res = solve_min_class(4, 2, PosetFamily.from_spec("A2"))
@@ -38,11 +55,12 @@ class TestSolveKnownValues:
         assert res.nodes_explored == 0 and res.seed_source == "construction:pk"
 
     @pytest.mark.parametrize("spec,nodes,source,witness", [
-        ("P3", 36772, "construction:p3", [3, 1, 2, 3] * 4),
-        ("V2", 18059, "search", [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4),
+        ("P3", 3136, "construction:p3", [3, 1, 2, 3] * 4),
+        ("V2", 951, "search", [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4),
     ])
     def test_search_pinned_n4(self, spec, nodes, source, witness):
-        # exact node counts and witnesses: a detector change must not move the search
+        # exact node counts and witnesses: a detector change must not move the
+        # search, and a sound prune moves only the node count
         res = solve_min_class(4, 3, PosetFamily.from_spec(spec))
         assert res.value == 4 and res.status == "optimal"
         assert res.nodes_explored == nodes
@@ -54,19 +72,32 @@ class TestSolveKnownValues:
         assert plain.witness.assign == [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4
 
     @pytest.mark.parametrize("kind,n,l,spec,value,nodes,witness", [
-        ("partial", 4, 4, "A3", 3, 99602, [1, 0, 1, 0, 1, 0, 2, 0, 3, 4, 4, 2, 4, 2, 3, 3]),
-        ("total", 4, 4, "A3", 2, 9823, [1, 1, 1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 3, 4, 4, 3]),
+        ("partial", 4, 4, "A3", 3, 47799, [1, 0, 1, 0, 1, 0, 2, 0, 3, 4, 4, 2, 4, 2, 3, 3]),
+        ("total", 4, 4, "A3", 2, 3576, [1, 1, 1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 3, 4, 4, 3]),
         ("partial", 5, 5, "A5", 6, 340776,
          [0, 0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3, 4, 4, 3, 5, 2, 5, 3, 3, 4,
           5, 3, 5, 4, 5, 5, 4, 4]),
     ])
     def test_search_pinned_antichains(self, kind, n, l, spec, value, nodes, witness):
         # the antichain detector decides only yes/no, so a faster one must
-        # leave the node count and the search's witness exactly as they are
+        # leave the node count and the search's witness exactly as they are;
+        # A3 is forward-checked, A5 keeps the copy search
         res = solve_min_class(n, l, PosetFamily.from_spec(spec), kind=kind)
         assert res.value == res.upper == value and res.status == "optimal"
         assert res.nodes_explored == nodes
         assert res.seed_source == "search" and res.witness.assign == witness
+
+    @pytest.mark.parametrize("spec,value", [("A2", 5), ("P2", 8)])
+    def test_n5_two_colors_proven(self, spec, value):
+        # the exact n = 5 values within 200k nodes, from the construction
+        # seed and from the search's own least witness
+        fam = PosetFamily.from_spec(spec)
+        for seeded in (True, False):
+            res = solve_min_class(5, 2, fam, budget=200_000, use_construction_seed=seeded)
+            assert (res.value, res.upper, res.status) == (value, value, "optimal")
+            assert class_stats(res.witness).min_size == value
+            assert validate(res.witness, fam) is None
+        assert res.seed_source == "search"
 
     def test_small_n_exhaustive_arbiter(self):
         # the solver, not the closed form, decides the n=2 and n=3 values
@@ -88,20 +119,23 @@ class TestSolveOracle:
                 assert got.value == want, (n, l, spec, kind)
 
     @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("l,specs", [(2, ["A2", "P2"]),
-                                         (3, ["A2", "A3", "P2", "P3", "V2", "W2"])])
+    @pytest.mark.parametrize("l,specs", [(2, ["A1", "A2", "P2"]), (3, SMALL_SHAPES)])
     @pytest.mark.parametrize("kind", ["partial", "total"])
     def test_witness_is_least_in_product_order(self, n, l, specs, kind):
-        # the search's witness at the optimum is the first valid assignment
-        # attaining it, with or without orbit pruning
         for spec in specs:
-            p = build_poset(spec)
-            value, first = oracle_least_witness(n, l, [copy_tuples(n, p, "induced")], kind)
-            for sym_prune in (True, False):
-                got = solve_min_class(n, l, PosetFamily((p,), "induced"), kind=kind,
-                                      use_construction_seed=False, sym_prune=sym_prune)
-                assert (got.value, got.witness.assign) == (value, first), \
-                    (n, l, spec, kind, sym_prune)
+            for mode in ("induced", "weak"):
+                _agrees_with_oracle(n, l, [spec], mode, kind)
+
+    @pytest.mark.parametrize("mode", ["induced", "weak"])
+    @pytest.mark.parametrize("kind", ["partial", "total"])
+    def test_four_colors_and_mixed_families(self, kind, mode):
+        # four colors leave two to lose a three-element copy's third set;
+        # D2 keeps the kernel's copy search beside the domain rules
+        for spec in SMALL_SHAPES:
+            _agrees_with_oracle(2, 4, [spec], mode, kind)
+        for n, l, specs in ((3, 3, ("P3", "V2", "W2")), (3, 3, ("A2", "A3")),
+                            (2, 4, ("P3", "D2")), (3, 4, ("A2", "D2"))):
+            _agrees_with_oracle(n, l, specs, mode, kind)
 
     def test_weak_mode_against_oracle(self):
         for spec in ("P2", "P3", "V2"):
@@ -148,16 +182,16 @@ class TestSolveContract:
 
     def test_budget_keeps_proven_upper_bound(self):
         # lo = 3 from the chain construction, cap = 8.  The single pass
-        # refutes m = 4 in 25,484 nodes; one node fewer proves nothing above
+        # refutes m = 4 in 496 nodes; one node fewer proves nothing above
         # the incumbent, so upper stays at the cap.
         fam = PosetFamily.from_spec("A2")
-        res = solve_min_class(4, 2, fam, budget=10_000)
+        res = solve_min_class(4, 2, fam, budget=100)
         assert (res.status, res.value, res.upper) == ("lower_bound_only", 3, 8)
-        assert res.nodes_explored == 10_000
+        assert res.nodes_explored == 100
         assert res.to_json_dict()["upper"] == 8
-        done = solve_min_class(4, 2, fam, budget=25_484)
+        done = solve_min_class(4, 2, fam, budget=496)
         assert (done.status, done.value, done.upper) == ("optimal", 3, 3)
-        cut = solve_min_class(4, 2, fam, budget=25_483)
+        cut = solve_min_class(4, 2, fam, budget=495)
         assert (cut.status, cut.value, cut.upper) == ("lower_bound_only", 3, 8)
         # budget 0 is a set-up call: no node, no error
         none = solve_min_class(4, 2, fam, budget=0)

@@ -34,8 +34,11 @@ def test_flagged_claims_report_but_do_not_fail(quick_report):
 
 def test_quick_skips_heavy_claims(quick_report):
     by_id = {e.claim_id: e for e in quick_report.entries}
-    assert by_id["solve/f(4,2,A2)"].status == "SKIPPED-budget"
+    assert by_id["solve/f(5,2,P2)"].status == "SKIPPED-budget"
     assert by_id["congen/overlap-trend"].status == "SKIPPED-budget"
+    # the forward-checked search makes these cheap enough to run every time
+    for cid in ("solve/f(4,2,A2)", "solve/f(4,2,P2)", "solve/f(5,2,A2)"):
+        assert by_id[cid].status == "MATCH" and by_id[cid].hard
 
 
 def test_every_entry_carries_a_source(quick_report):
