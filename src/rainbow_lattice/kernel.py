@@ -7,7 +7,8 @@ candidates for the image of a poset element are a single mask: the colored
 sets of the colors not used yet, cut by the cones of the images already
 placed.  Masks have 2^n bits: whole tables up to n = 13, on demand above.
 The same cones give the domain rules by which the solver forward-checks
-posets of two or three elements (domain_rule).
+posets of two or three elements and induced antichains of every size
+(domain_rule, antichain_reach).
 """
 
 from __future__ import annotations
@@ -131,8 +132,9 @@ class _Whole:
 @lru_cache(maxsize=256)
 def domain_rule(poset: Poset, induced: bool, n: int):
     """How placed sets shrink the color domains of a search that avoids
-    rainbow copies of poset: (cones, triples) for posets of two or three
-    elements, None for the others, which need a copy search.
+    rainbow copies of poset, in ascending id order: (cones, triples, need)
+    for posets of two or three elements and induced antichains, None for
+    the others, which need a copy search.
 
     Placing s in color c takes T[s] from every other color for each T in
     cones (two elements: those sets would pair with s into a copy).  For
@@ -140,8 +142,17 @@ def domain_rule(poset: Poset, induced: bool, n: int):
     b != c with t in near[s], mine[s] & theirs[t] leaves every color but
     b and c (three elements: s and t are two images, those sets the third).
     The tables come from the member's relations, one per ordered pair of
-    roles, like the steps of _copy_plans.
+    roles, like the steps of _copy_plans.  Roles that can only reach
+    assigned sets are left out: a placed set precedes s, so it is never in
+    up[s], and down cones hold only smaller ids.
+
+    need > 0 marks an induced antichain A_k with k >= 4, need = k - 2: each
+    other color d loses the sets above s that antichain_reach finds
+    completing a rainbow clique with s and need placed sets of colors
+    other than c and d.
     """
+    if induced and poset.is_antichain() and poset.size >= 4:
+        return (), (), poset.size - 2
     if not 2 <= poset.size <= 3:
         return None
     tables, whole = mask_tables(n), _Whole(n)
@@ -152,13 +163,14 @@ def domain_rule(poset: Poset, induced: bool, n: int):
 
     # tables compare by identity: two lazy stores are equal dicts while empty
     if poset.size == 2:
-        cones = {id(t): t for t in (rel(0, 1), rel(1, 0))}
-        return tuple(cones.values()), ()
+        cones = {id(t): t for t in (rel(0, 1), rel(1, 0)) if t is not tables.down}
+        return tuple(cones.values()), (), 0
     triples = {}
     for i, j, k in permutations(range(3)):
-        rule = (rel(i, j), rel(i, k), rel(j, k))
-        triples[tuple(map(id, rule))] = rule
-    return (), tuple(triples.values())
+        rule = near, mine, theirs = rel(i, j), rel(i, k), rel(j, k)
+        if near is not tables.up and tables.down not in (mine, theirs):
+            triples[tuple(map(id, rule))] = rule
+    return (), tuple(triples.values()), 0
 
 
 class RainbowKernel:
@@ -336,3 +348,45 @@ def _antichain_clique(masks: list[int], need: int, incomp) -> bool:
                 return True
         cand ^= low
     return len(rest) >= need and _antichain_clique(rest, need, incomp)
+
+
+def antichain_reach(masks: list[int], need: int, target: int, incomp) -> int:
+    """The sets of target that complete a rainbow clique: the union of
+    target & incomp[x1] & ... & incomp[x_need] over every choice of need
+    pairwise incomparable sets from need distinct masks.  Every mask is
+    nonzero.
+
+    The walk of _antichain_clique, with target cut by each set placed: a
+    branch ends once its target is empty, the search once the union covers
+    target.  Only the sets not yet reached are searched for.
+    """
+    reach = 0
+    if need == 1:  # any set of any mask
+        cand = 0
+        for m in masks:
+            cand |= m
+        while cand:
+            low = cand & -cand
+            reach |= target & incomp[low.bit_length() - 1]
+            if reach == target:
+                break
+            cand ^= low
+        return reach
+    if len(masks) < need:
+        return 0
+    cand = min(masks, key=int.bit_count)
+    rest = masks.copy()
+    rest.remove(cand)
+    while cand:
+        low = cand & -cand
+        inc = incomp[low.bit_length() - 1]
+        hit = target & inc & ~reach
+        if hit:
+            cut = [m for r in rest if (m := r & inc)]
+            reach |= antichain_reach(cut, need - 1, hit, incomp)
+            if reach == target:
+                return reach
+        cand ^= low
+    if len(rest) >= need:
+        reach |= antichain_reach(rest, need, target & ~reach, incomp)
+    return reach

@@ -4,11 +4,12 @@ cross-incomparability and greedy-cover diagnostics.
 The solver finds the largest m such that a valid (partial or total)
 l-coloring with every class of size >= m exists, in one depth-first pass
 over subset ids with first-use color symmetry breaking and optional exact
-orbit pruning.  Forbidden members of two or three elements are
-forward-checked: each color keeps a domain mask of the sets it may still
-take, so a color that would complete a rainbow copy is never tried, and
-the pass backs up once some color can no longer reach m.  The bitset
-kernel searches for copies of the other members after each placement.
+orbit pruning.  Forbidden members of two or three elements and induced
+antichains of every size are forward-checked: each color keeps a domain
+mask of the sets it may still take, so a color that would complete a
+rainbow copy is never tried, and the pass backs up once some color can no
+longer reach m.  The bitset kernel searches for copies of the other
+members after each placement.
 The pass starts one above the best construction's value and raises m past
 each valid assignment it meets, so refuting the last m is the whole proof.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from .coloring import Coloring, PosetFamily, class_stats, has_rainbow, validate
 from .constructions import (chain_interval_coloring, incomparable_traces,
                             lift3_coloring, p3_total_coloring, pk_coloring)
-from .kernel import RainbowKernel, domain_rule
+from .kernel import RainbowKernel, antichain_reach, domain_rule
 from .lattice import (CANONICAL_CAP, all_subset_permutation_tables, check_dimension,
                       comparable, full_set, is_subset, submasks_ascending)
 from .posets import Poset, antichain, chain, diamond, vee, wedge
@@ -56,16 +57,16 @@ class _MaxMinSearch:
     pass ends with m - 1 as the optimum and `best` as the least valid
     assignment that attains it (or None when no leaf qualified).
 
-    Members of two or three elements are forward-checked: `allowed[c]`
-    holds the sets that color c may still take without completing a
-    rainbow copy with the sets already placed (see kernel.domain_rule).
-    The kernel searches for copies of the other members after each
-    placement."""
+    Members of two or three elements and induced antichains are
+    forward-checked: `allowed[c]` holds the sets that color c may still
+    take without completing a rainbow copy with the sets already placed
+    (see kernel.domain_rule).  The kernel searches for copies of the other
+    members after each placement."""
 
-    def __init__(self, n, l, members, mode, partial, budget, sym_depth):
+    def __init__(self, n, l, members, mode, partial, budget, sym_depth, cap):
         self.size = 1 << n
         self.l = l
-        self.cap = self.size // l
+        self.cap = cap
         self.partial = partial
         self.budget = budget
         self.nodes = 0
@@ -88,8 +89,9 @@ class _MaxMinSearch:
         self.kernel = RainbowKernel(n, l, unruled, mode, self.assign)
         self.color_mask = self.kernel.color_mask
         self.search_copies = bool(unruled)
-        self.cones = tuple(t for cones, _ in rules for t in cones)
-        self.triples = tuple(t for _, triples in rules for t in triples)
+        self.cones = tuple(t for cones, _, _ in rules for t in cones)
+        self.triples = tuple(t for _, triples, _ in rules for t in triples)
+        self.needs = tuple(sorted({need for _, _, need in rules if need}))
         # None when no member has a rule: the search keeps no domains then
         self.allowed = [(1 << self.size) - 1] * (l + 1) if rules else None
 
@@ -124,8 +126,18 @@ class _MaxMinSearch:
         """Take from the other colors' domains every set that would complete
         a rainbow copy with s, just placed in color c, and the sets placed
         before it.  Returns the domains as they were."""
-        allowed, color_mask, l = self.allowed, self.color_mask, self.l
+        allowed = self.allowed
         saved = allowed.copy()
+        if self.cones or self.triples:
+            self._shrink_small(s, c)
+        if self.needs:
+            self._shrink_antichains(s, c)
+        return saved
+
+    def _shrink_small(self, s: int, c: int) -> None:
+        """The cone and triple rules of the members of two or three
+        elements."""
+        allowed, color_mask, l = self.allowed, self.color_mask, self.l
         cone = 0
         for table in self.cones:
             cone |= table[s]
@@ -149,7 +161,25 @@ class _MaxMinSearch:
                     if x != b:
                         kill |= lose[x]  # lose[c] stays 0
                 allowed[b] &= ~kill
-        return saved
+
+    def _shrink_antichains(self, s: int, c: int) -> None:
+        """Take from each other color d the sets above s that would complete
+        a rainbow induced antichain with s and placed sets of the colors
+        other than c and d.  A copy is caught when its second-largest set
+        is placed, as the others precede it."""
+        allowed, incomp, l = self.allowed, self.kernel.incomp, self.l
+        inc = incomp[s]
+        placed = [(b, m) for b, cm in enumerate(self.color_mask)
+                  if b != c and (m := cm & inc)]  # color 0 has no sets
+        above = inc & (-2 << s)
+        for need in self.needs:
+            if len(placed) < need:
+                break
+            for d in range(1, l + 1):
+                target = allowed[d] & above if d != c else 0
+                if target:
+                    others = [m for b, m in placed if b != d]
+                    allowed[d] &= ~antichain_reach(others, need, target, incomp)
 
     def _dfs(self, pos: int, used: int) -> bool:
         # True stops the pass: the incumbent reached the cap
@@ -270,13 +300,15 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
     """Largest m such that some valid coloring keeps every class at size >= m.
 
     kind "partial" admits uncolored sets, "total" does not.  The answer never
-    exceeds floor(2^n / l).  Exceeding the node budget downgrades the status
-    to lower_bound_only; it never yields a wrong "optimal", `value` keeps
-    the best class size found so far and `upper` is the cap, since a pass
-    cut short proves nothing above its incumbent.  Witnesses found by
-    search are the lexicographically least valid assignment at the
-    optimum; a witness taken straight from a construction is reported via
-    seed_source.
+    exceeds floor(2^n / l), and it is 0 when a weak antichain of 2..l
+    elements is forbidden: any k distinctly colored sets form a weak A_k,
+    so at most k - 1 classes are nonempty.  Exceeding the node budget
+    downgrades the status to lower_bound_only; it never yields a wrong
+    "optimal", `value` keeps the best class size found so far and `upper`
+    is that root bound, since a pass cut short proves nothing above its
+    incumbent.  Witnesses found by search are the lexicographically least
+    valid assignment at the optimum; a witness taken straight from a
+    construction is reported via seed_source.
     The search checks rainbow copies with the bitset kernel at every n.
     """
     check_dimension(n)
@@ -301,13 +333,16 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
             lo, witness, source = seeded
     if witness is None and kind == "partial":
         lo, witness, source = 0, Coloring.empty(n, l), "empty"
-    if lo >= cap:
-        return SolveResult(cap, cap, witness, "optimal", 0, cap, source)
+    weak_antichain = forbidden.mode == "weak" and any(
+        p.is_antichain() and p.size >= 2 for p in members)
+    upper = 0 if weak_antichain else cap
+    if lo >= upper:
+        return SolveResult(upper, upper, witness, "optimal", 0, cap, source)
 
     if sym_prune is None:
         sym_prune = n <= CANONICAL_CAP
     search = _MaxMinSearch(n, l, members, forbidden.mode, kind == "partial",
-                           budget, n if sym_prune else 0)
+                           budget, n if sym_prune else 0, upper)
     # with no witness yet (total colorings may be infeasible outright, for
     # 1-element members) the pass starts at m = 0 and takes any valid leaf
     finished = search.run(lo + 1)
@@ -317,9 +352,9 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
     if witness is None:
         if finished:
             return SolveResult(-1, -1, None, "optimal", search.nodes, cap, "infeasible")
-        return SolveResult(-1, cap, None, "lower_bound_only", search.nodes, cap, source)
+        return SolveResult(-1, upper, None, "lower_bound_only", search.nodes, cap, source)
     # a pass cut short proves nothing above its incumbent
-    status, hi = ("optimal", lo) if finished else ("lower_bound_only", cap)
+    status, hi = ("optimal", lo) if finished else ("lower_bound_only", upper)
 
     stats = class_stats(witness)
     if stats.min_size < lo or has_rainbow(witness, forbidden):

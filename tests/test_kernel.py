@@ -2,12 +2,14 @@
 
 import random
 from functools import lru_cache
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbow_lattice.kernel import _TABLE_BITS, RainbowKernel, mask_tables
+from rainbow_lattice.kernel import (_TABLE_BITS, RainbowKernel, antichain_reach, domain_rule,
+                                    mask_tables)
 from rainbow_lattice.lattice import ENUMERATION_CAP, comparable, is_subset
 from rainbow_lattice.posets import build_poset, embed_poset
 from oracles import copy_tuples, oracle_has_rainbow
@@ -86,6 +88,49 @@ def test_antichain_search_agrees_with_oracle(case):
     for s, c in enumerate(assign):
         if c:
             assert kernel.through(s) == oracle_has_rainbow(assign, [t for t in tuples if s in t])
+
+
+@settings(max_examples=300, deadline=None)
+@given(antichain_cases(), st.integers(1, 4), st.integers(0, (1 << 16) - 1))
+def test_antichain_reach_is_the_union_over_cliques(case, need, target):
+    # every choice of need sets from distinct colors, pairwise incomparable:
+    # the target sets incomparable to all of them
+    n, _, l, assign = case
+    size = 1 << n
+    target &= (1 << size) - 1
+    classes = [[s for s in range(size) if assign[s] == c] for c in range(1, l + 1)]
+    classes = [cls for cls in classes if cls]
+    want = 0
+    for chosen in combinations(classes, need):
+        for sets in product(*chosen):
+            if all(not comparable(a, b) for a, b in combinations(sets, 2)):
+                want |= sum(1 << t for t in range(size) if target >> t & 1
+                            and all(not comparable(t, x) for x in sets))
+    masks = [sum(1 << s for s in cls) for cls in classes]
+    assert antichain_reach(masks, need, target, mask_tables(n).incomp) == want
+
+
+@pytest.mark.parametrize("spec", ["P2", "A2", "P3", "A3", "V2", "W2", "P2+A1", "A4", "A6", "D2"])
+@pytest.mark.parametrize("induced", [True, False])
+def test_domain_rules_reach_only_later_sets(spec, induced):
+    # the solver places sets in ascending id order: a placed set is never
+    # in up[s], and down cones hold only sets placed already
+    poset = build_poset(spec)
+    rule = domain_rule(poset, induced, 3)
+    t = mask_tables(3)
+    if rule is None:
+        assert poset.size >= 4 and not (induced and poset.is_antichain())
+        return
+    cones, triples, need = rule
+    assert need == (poset.size - 2 if induced and poset.is_antichain() and poset.size >= 4
+                    else 0)
+    assert t.down not in cones
+    for near, mine, theirs in triples:
+        assert near is not t.up and t.down not in (mine, theirs)
+    if spec == "P2":
+        assert cones == (t.up,)
+    if spec == "P3":
+        assert triples == ((t.down, t.up, t.up),)
 
 
 @pytest.mark.parametrize("n", [*range(1, 7), 13, 14, 20])

@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from rainbow_lattice import solver
 from rainbow_lattice.coloring import Coloring, PosetFamily, class_stats, validate
 from rainbow_lattice.lattice import comparable, full_set, interval_members, Interval
 from rainbow_lattice.posets import build_poset
@@ -74,18 +75,47 @@ class TestSolveKnownValues:
     @pytest.mark.parametrize("kind,n,l,spec,value,nodes,witness", [
         ("partial", 4, 4, "A3", 3, 47799, [1, 0, 1, 0, 1, 0, 2, 0, 3, 4, 4, 2, 4, 2, 3, 3]),
         ("total", 4, 4, "A3", 2, 3576, [1, 1, 1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 3, 4, 4, 3]),
-        ("partial", 5, 5, "A5", 6, 340776,
+        ("partial", 5, 5, "A5", 6, 8379,
          [0, 0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3, 4, 4, 3, 5, 2, 5, 3, 3, 4,
           5, 3, 5, 4, 5, 5, 4, 4]),
     ])
     def test_search_pinned_antichains(self, kind, n, l, spec, value, nodes, witness):
         # the antichain detector decides only yes/no, so a faster one must
         # leave the node count and the search's witness exactly as they are;
-        # A3 is forward-checked, A5 keeps the copy search
+        # A3 is forward-checked by its triple rule, A5 by the antichain rule
+        # (340,776 nodes when A5 took a copy search after every placement)
         res = solve_min_class(n, l, PosetFamily.from_spec(spec), kind=kind)
         assert res.value == res.upper == value and res.status == "optimal"
         assert res.nodes_explored == nodes
         assert res.seed_source == "search" and res.witness.assign == witness
+
+    def test_F_5_5_A5_within_budget(self):
+        # forward-checked, the total solve needs 6,710 nodes (269,502 with a
+        # copy search per placement) and finds the same least witness
+        res = solve_min_class(5, 5, PosetFamily.from_spec("A5"), kind="total",
+                              budget=20_000)
+        assert (res.value, res.upper, res.status, res.seed_source) == (6, 6, "optimal", "search")
+        assert res.witness.assign == [1] * 8 + [2] * 5 + [3, 3, 4, 4, 3, 5, 2, 5, 3, 3, 4,
+                                                          5, 3, 5, 4, 5, 5, 4, 4]
+
+    def test_weak_antichain_root_bound(self):
+        # a weak A_k with k <= l leaves at most k - 1 classes nonempty, so the
+        # value is 0 at the root: the partial solve keeps its empty seed and
+        # the total one stops at its first leaf, all in color 1
+        total = solve_min_class(4, 4, PosetFamily.from_spec("A4", "weak"), kind="total",
+                                budget=50_000)
+        assert (total.value, total.upper, total.status) == (0, 0, "optimal")
+        assert total.seed_source == "search" and total.witness.assign == [1] * 16
+        assert total.nodes_explored == 16
+        partial = solve_min_class(4, 3, PosetFamily.from_spec("A3", "weak"), budget=50_000)
+        assert (partial.value, partial.upper, partial.status) == (0, 0, "optimal")
+        assert partial.seed_source == "empty" and partial.witness.assign == [0] * 16
+        assert partial.nodes_explored == 0
+        # the bound needs k <= l: a larger weak antichain is vacuous
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            vacuous = solve_min_class(3, 2, PosetFamily.from_spec("A3", "weak"))
+        assert (vacuous.value, vacuous.seed_source) == (4, "trivial-cap")
 
     @pytest.mark.parametrize("spec,value", [("A2", 5), ("P2", 8)])
     def test_n5_two_colors_proven(self, spec, value):
@@ -136,6 +166,60 @@ class TestSolveOracle:
         for n, l, specs in ((3, 3, ("P3", "V2", "W2")), (3, 3, ("A2", "A3")),
                             (2, 4, ("P3", "D2")), (3, 4, ("A2", "D2"))):
             _agrees_with_oracle(n, l, specs, mode, kind)
+
+    @pytest.mark.parametrize("kind", ["partial", "total"])
+    def test_antichains_of_four_and_five(self, kind):
+        # induced A4 and A5 take the antichain domain rule with no copy
+        # search, weak ones the root bound; B_3 holds no induced A4, so there
+        # the rule must clear nothing the other members do not
+        for n, l, specs in ((2, 4, ("A4",)), (3, 4, ("A4",)), (2, 5, ("A5",)),
+                            (2, 5, ("A4", "A5")), (3, 4, ("A4", "P2")),
+                            (3, 4, ("A4", "D2")), (3, 4, ("A2", "A4"))):
+            _agrees_with_oracle(n, l, specs, "induced", kind)
+        for l, specs in ((4, ("A4",)), (5, ("A5",)), (4, ("A4", "P2")), (4, ("A4", "D2")),
+                         (4, ("A2", "A4"))):
+            _agrees_with_oracle(2, l, specs, "weak", kind)
+
+    def test_induced_antichains_need_no_copy_search(self, monkeypatch):
+        calls = []
+
+        class Counting(solver.RainbowKernel):
+            def through(self, pos, newest=False):
+                calls.append(pos)
+                return super().through(pos, newest)
+
+        monkeypatch.setattr(solver, "RainbowKernel", Counting)
+        res = solve_min_class(4, 5, PosetFamily.from_spec("A5"), use_construction_seed=False)
+        assert res.status == "optimal" and res.nodes_explored > 0
+        assert calls == []
+        # D2 still takes the copy search beside the antichain rule
+        solve_min_class(3, 4, PosetFamily.from_spec("A4,D2"), use_construction_seed=False)
+        assert calls
+
+    @pytest.mark.parametrize("specs,l", [(("A4",), 4), (("A4",), 6), (("A5",), 5),
+                                         (("A4", "A5"), 5)])
+    def test_antichain_domains_are_exact(self, specs, l):
+        # sets placed in id order at n = 4, where B_4 holds induced A4 and
+        # A5: every color's domain above the newest set is exactly the sets
+        # that would complete no rainbow copy with the sets placed so far
+        members = [build_poset(s) for s in specs]
+        copies = {tuple(sorted(t)) for p in members for t in copy_tuples(4, p, "induced")}
+        rng = random.Random(l)
+        for _ in range(6):
+            search = solver._MaxMinSearch(4, l, members, "induced", True, 0, 0, 0)
+            assign = search.assign
+            for pos in range(16):
+                c = rng.randrange(l + 1)
+                if c and search.allowed[c] >> pos & 1:
+                    assign[pos] = c
+                    search.color_mask[c] |= 1 << pos
+                    search._shrink(pos, c)
+                for d in range(1, l + 1):
+                    for x in range(pos + 1, 16):
+                        rainbow = any(
+                            x in t and len({assign[u] for u in t if u != x} - {0, d}) == len(t) - 1
+                            for t in copies)
+                        assert (search.allowed[d] >> x & 1) == (not rainbow), (pos, d, x)
 
     def test_weak_mode_against_oracle(self):
         for spec in ("P2", "P3", "V2"):
