@@ -106,8 +106,16 @@ class PosetFamily:
 
     @classmethod
     def from_spec(cls, spec: str, mode: str = "induced") -> "PosetFamily":
-        members = tuple(build_poset(tok) for tok in spec.split(",") if tok.strip())
-        return cls(members, mode)
+        """Members separated by the commas outside explicit poset objects,
+        as in 'P3,{"size": 2, "relations": [[0, 1]]}'."""
+        tokens, depth, start = [], 0, 0
+        for i, ch in enumerate(spec):
+            depth += (ch in "{[") - (ch in "}]")
+            if ch == "," and not depth:
+                tokens.append(spec[start:i])
+                start = i + 1
+        tokens.append(spec[start:])
+        return cls(tuple(build_poset(tok) for tok in tokens if tok.strip()), mode)
 
     def spec_string(self) -> str:
         return ",".join(p.name or f"{{size:{p.size}}}" for p in self.members)

@@ -6,9 +6,11 @@ incomparable sets turn each order constraint of a copy into one AND, so the
 candidates for the image of a poset element are a single mask: the colored
 sets of the colors not used yet, cut by the cones of the images already
 placed.  Masks have 2^n bits: whole tables up to n = 13, on demand above.
-The same cones give the domain rules by which the solver forward-checks
-posets of two or three elements and induced antichains of every size
-(domain_rule, antichain_reach).
+The same cones let the solver forward-check every forbidden member: the
+sets that would complete a rainbow copy with the sets already placed come
+from one walk over each member's completion plans (completion_plans,
+complete), or from the clique walk for induced antichains of four or more
+elements (antichain_reach).
 """
 
 from __future__ import annotations
@@ -87,101 +89,135 @@ def _relation(poset: Poset, x: int, y: int, induced: bool, tables: MaskTables):
     return tables.incomp if induced else None
 
 
+def _steps(poset: Poset, placed: list[int], rest: list[int], induced: bool,
+           tables: MaskTables):
+    """Steps that place the elements of rest after those of placed, and the
+    order in which they end up.  Step k places one more element; it lists
+    (table, j) pairs meaning the candidate must lie in that table's mask
+    (up, down or incomp over B_n) of the image placed j-th.  Elements are
+    placed most-constrained first: most comparabilities to the elements
+    placed so far, then highest degree, then lowest index."""
+    placed, rest = list(placed), list(rest)
+    steps = []
+    while rest:
+        e = min(rest, key=lambda x: (-sum(poset.elements_comparable(x, q) for q in placed),
+                                     -poset.degree(x), x))
+        rest.remove(e)
+        steps.append(tuple((table, j) for j, q in enumerate(placed)
+                           if (table := _relation(poset, q, e, induced, tables)) is not None))
+        placed.append(e)
+    return tuple(steps), placed
+
+
 @lru_cache(maxsize=256)
 def _copy_plans(poset: Poset, induced: bool, n: int):
-    """For each element e0 pinned first: (e0 is maximal, steps).  Step k
-    places one more element; it lists (table, j) pairs meaning the
-    candidate must lie in that table's mask (up, down or incomp over B_n)
-    of the image placed j-th.  Elements are placed most-constrained first:
-    most comparabilities to the elements placed so far, then highest
-    degree, then lowest index."""
+    """For each element e0 pinned first: (e0 is maximal, steps placing the
+    others, see _steps)."""
     tables = mask_tables(n)
     plans = []
     for e0 in range(poset.size):
-        placed = [e0]
-        steps = []
-        rest = [e for e in range(poset.size) if e != e0]
-        while rest:
-            e = min(rest, key=lambda x: (-sum(poset.elements_comparable(x, q) for q in placed),
-                                         -poset.degree(x), x))
-            rest.remove(e)
-            step = []
-            for j, q in enumerate(placed):
-                table = _relation(poset, q, e, induced, tables)
-                if table is not None:
-                    step.append((table, j))
-            steps.append(tuple(step))
-            placed.append(e)
+        steps, _ = _steps(poset, [e0], [e for e in range(poset.size) if e != e0],
+                          induced, tables)
         maximal = not any(poset.is_less(e0, q) for q in range(poset.size))
-        plans.append((maximal, tuple(steps)))
+        plans.append((maximal, steps))
     return tuple(plans)
 
 
-class _Whole:
-    """The cone table of a pair that constrains nothing: every set of B_n."""
-
-    __slots__ = ("mask",)
-
-    def __init__(self, n: int):
-        self.mask = (1 << (1 << n)) - 1
-
-    def __getitem__(self, s: int) -> int:
-        return self.mask
-
-
 @lru_cache(maxsize=256)
-def domain_rule(poset: Poset, induced: bool, n: int):
-    """How placed sets shrink the color domains of a search that avoids
-    rainbow copies of poset, in ascending id order: (cones, triples, need)
-    for posets of two or three elements and induced antichains, None for
-    the others, which need a copy search.
+def completion_plans(poset: Poset, induced: bool, n: int):
+    """How a search that places sets in ascending id order catches every
+    rainbow copy of poset when its second-largest set s is placed: one
+    (steps, cuts) per pair of roles (a, b), s the image of a and the later
+    set t the image of b.  b is never below a, and no other element lies
+    above a or b, since the other images precede s.
 
-    Placing s in color c takes T[s] from every other color for each T in
-    cones (two elements: those sets would pair with s into a copy).  For
-    each (near, mine, theirs) in triples and each placed t of a color
-    b != c with t in near[s], mine[s] & theirs[t] leaves every color but
-    b and c (three elements: s and t are two images, those sets the third).
-    The tables come from the member's relations, one per ordered pair of
-    roles, like the steps of _copy_plans.  Roles that can only reach
-    assigned sets are left out: a placed set precedes s, so it is never in
-    up[s], and down cones hold only smaller ids.
-
-    need > 0 marks an induced antichain A_k with k >= 4, need = k - 2: each
-    other color d loses the sets above s that antichain_reach finds
-    completing a rainbow clique with s and need placed sets of colors
-    other than c and d.
+    The steps place the other elements among the earlier sets, after a
+    (see _steps); t must lie in cuts[j][image j] for every image j, a None
+    cut constraining nothing (incomparable, weak mode).  Plans that differ
+    only by a relabeling are kept once.  A one-element poset has none.
     """
-    if induced and poset.is_antichain() and poset.size >= 4:
-        return (), (), poset.size - 2
-    if not 2 <= poset.size <= 3:
-        return None
-    tables, whole = mask_tables(n), _Whole(n)
+    tables = mask_tables(n)
+    plans = {}
+    for a, b in permutations(range(poset.size), 2):
+        if any(poset.is_less(b, e) or e != b and poset.is_less(a, e)
+               for e in range(poset.size)):
+            continue
+        steps, order = _steps(poset, [a], [e for e in range(poset.size) if e not in (a, b)],
+                              induced, tables)
+        cuts = tuple(_relation(poset, q, b, induced, tables) for q in order)
+        # tables compare by identity: two lazy stores are equal dicts while empty
+        key = tuple((tuple((id(t), j) for t, j in step) for step in steps)), tuple(map(id, cuts))
+        plans.setdefault(key, (steps, cuts))
+    return tuple(plans.values())
 
-    def rel(x, y):
-        table = _relation(poset, x, y, induced, tables)
-        return whole if table is None else table
 
-    # tables compare by identity: two lazy stores are equal dicts while empty
-    if poset.size == 2:
-        cones = {id(t): t for t in (rel(0, 1), rel(1, 0)) if t is not tables.down}
-        return tuple(cones.values()), (), 0
-    triples = {}
-    for i, j, k in permutations(range(3)):
-        rule = near, mine, theirs = rel(i, j), rel(i, k), rel(j, k)
-        if near is not tables.up and tables.down not in (mine, theirs):
-            triples[tuple(map(id, rule))] = rule
-    return (), tuple(triples.values()), 0
+def complete(steps, cuts, imgs: list[int], colors: int, target: int, color_mask,
+             allowed: list[int]) -> None:
+    """Take from the color domains in allowed the sets of target that would
+    complete a rainbow copy.
+
+    imgs holds the images placed so far, s first, and colors their colors
+    as a bitmask; steps[len(imgs) - 1:] remain, each image taken from the
+    placed sets in color_mask whose color is not used yet.  target is cut by each
+    image's cut as it is placed, and a branch ends once it is empty.  What
+    is left at a full copy leaves allowed[d] for every color d outside the
+    copy's.  The last image is not placed one by one: the cuts of a color's
+    candidates are ORed, then cut target once."""
+    k = len(imgs) - 1
+    if k == len(steps):
+        _take(allowed, colors, target)
+        return
+    cand = -1
+    for table, j in steps[k]:
+        cand &= table[imgs[j]]
+    cut = cuts[k + 1]
+    last = k + 1 == len(steps)
+    for b, cm in enumerate(color_mask):
+        m = cm & cand
+        if not m or colors >> b & 1:
+            continue
+        key = colors | 1 << b
+        if last:
+            if cut is None:
+                reach = target
+            else:
+                reach = 0
+                while m:
+                    low = m & -m
+                    reach |= cut[low.bit_length() - 1]
+                    m ^= low
+                reach &= target
+            if reach:
+                _take(allowed, key, reach)
+            continue
+        while m:
+            low = m & -m
+            x = low.bit_length() - 1
+            hit = target & cut[x] if cut is not None else target
+            if hit:
+                imgs.append(x)
+                complete(steps, cuts, imgs, key, hit, color_mask, allowed)
+                imgs.pop()
+            m ^= low
+
+
+def _take(allowed: list[int], colors: int, sets: int) -> None:
+    """Remove sets from the domain of every color outside colors."""
+    keep = ~sets
+    for d, a in enumerate(allowed):
+        if not colors >> d & 1:
+            allowed[d] = a & keep
 
 
 class RainbowKernel:
     """Rainbow copies of a poset family through one pinned set.
 
     `assign` is a live view of the coloring (read, never written);
-    `color_mask[c]` holds the sets of color c the search may use and is
-    kept by the caller, or filled by mark_all() and scan(); color_mask[0]
-    stays 0.  Induced antichains take the forward-checked clique search,
-    weak ones a count of the colors in use (any k distinctly colored sets
-    form a weak copy of A_k), every other member the generic copy search.
+    `color_mask[c]` holds the sets of color c the search may use, filled by
+    mark_all() and scan(); color_mask[0] stays 0.  Induced antichains take
+    the clique walk of antichain_reach, weak ones a count of the colors in
+    use (any k distinctly colored sets form a weak copy of A_k), every other
+    member the generic copy search.
     """
 
     def __init__(self, n: int, l: int, members, mode: str, assign):
@@ -266,7 +302,8 @@ class RainbowKernel:
             if not need:
                 return True
             cut = [m for cm in others if (m := cm & inc)]
-            return len(cut) >= need and _antichain_clique(cut, need, self.incomp)
+            # the masks lie in incomp[x], so x is reached iff a clique exists
+            return bool(antichain_reach(cut, need, 1 << x, self.incomp))
         need = 0
         for s in req:
             if s != x:
@@ -317,37 +354,7 @@ class RainbowKernel:
         # dropping pos's own color from inc empties its mask; color 0 has none
         inc = self.incomp[pos] & ~self.color_mask[self.assign[pos]]
         masks = [m for cm in self.color_mask if (m := cm & inc)]
-        return len(masks) >= k - 1 and _antichain_clique(masks, k - 1, self.incomp)
-
-
-def _antichain_clique(masks: list[int], need: int, incomp) -> bool:
-    """Whether `need` of the per-color candidate masks yield one set each,
-    pairwise incomparable.  Every mask is nonzero and len(masks) >= need.
-
-    A clique search over a multipartite graph with forward checking: branch
-    on the color with the fewest candidates, walk them in ascending order,
-    and after placing x cut every other mask to incomp[x], dropping the
-    colors left empty.  A color may go unused only while more colors
-    remain than sets are needed.
-    """
-    if need == 1:
-        return True
-    cand = min(masks, key=int.bit_count)
-    rest = masks.copy()
-    rest.remove(cand)  # the masks are disjoint, so cand occurs once
-    while cand:
-        low = cand & -cand
-        inc = incomp[low.bit_length() - 1]
-        if need == 2:  # the last set: any other color incomparable to x will do
-            for r in rest:
-                if r & inc:
-                    return True
-        else:
-            cut = [m for r in rest if (m := r & inc)]
-            if len(cut) >= need - 1 and _antichain_clique(cut, need - 1, incomp):
-                return True
-        cand ^= low
-    return len(rest) >= need and _antichain_clique(rest, need, incomp)
+        return bool(antichain_reach(masks, k - 1, 1 << pos, self.incomp))
 
 
 def antichain_reach(masks: list[int], need: int, target: int, incomp) -> int:
@@ -356,9 +363,14 @@ def antichain_reach(masks: list[int], need: int, target: int, incomp) -> int:
     pairwise incomparable sets from need distinct masks.  Every mask is
     nonzero.
 
-    The walk of _antichain_clique, with target cut by each set placed: a
-    branch ends once its target is empty, the search once the union covers
-    target.  Only the sets not yet reached are searched for.
+    A clique search over a multipartite graph with forward checking:
+    branch on the color with the fewest candidates, walk them in ascending
+    order, and after placing x cut every other mask to incomp[x], dropping
+    the colors left empty, and target to incomp[x].  A color may go unused
+    only while more colors remain than sets are needed.  A branch ends once
+    its target is empty, the search once the union covers target; only the
+    sets not yet reached are searched for.  With the masks cut to incomp[x]
+    and target 1 << x, the result is nonzero iff some clique exists.
     """
     reach = 0
     if need == 1:  # any set of any mask

@@ -154,6 +154,10 @@ def disjoint_sum(parts) -> Poset:
     return Poset(size, rels, name=name)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def build_poset(spec) -> Poset:
     """Builtin name (Ak, Pk, Vk, Wk, D2), a "+"-sum of builtins, or an
     explicit {"size": p, "relations": [[i, j], ...]} object (or its JSON text).
@@ -161,7 +165,15 @@ def build_poset(spec) -> Poset:
     if isinstance(spec, Poset):
         return spec
     if isinstance(spec, dict):
-        return Poset(int(spec["size"]), [tuple(r) for r in spec.get("relations", ())])
+        size, relations = spec.get("size"), spec.get("relations", [])
+        if not _is_int(size):
+            raise ValueError(f'poset object needs an integer "size", got {size!r}')
+        if not (isinstance(relations, (list, tuple)) and all(
+                isinstance(r, (list, tuple)) and len(r) == 2 and all(map(_is_int, r))
+                for r in relations)):
+            raise ValueError(f'poset "relations" must be a list of [i, j] integer pairs, '
+                             f'got {relations!r}')
+        return Poset(size, [tuple(r) for r in relations])
     if not isinstance(spec, str):
         raise ValueError(f"cannot build poset from {spec!r}")
     text = spec.strip()

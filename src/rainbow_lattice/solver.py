@@ -4,12 +4,10 @@ cross-incomparability and greedy-cover diagnostics.
 The solver finds the largest m such that a valid (partial or total)
 l-coloring with every class of size >= m exists, in one depth-first pass
 over subset ids with first-use color symmetry breaking and optional exact
-orbit pruning.  Forbidden members of two or three elements and induced
-antichains of every size are forward-checked: each color keeps a domain
-mask of the sets it may still take, so a color that would complete a
-rainbow copy is never tried, and the pass backs up once some color can no
-longer reach m.  The bitset kernel searches for copies of the other
-members after each placement.
+orbit pruning.  Every forbidden member is forward-checked: each color
+keeps a domain mask of the sets it may still take, so a color that would
+complete a rainbow copy is never tried and no copy search is needed, and
+the pass backs up once some color can no longer reach m.
 The pass starts one above the best construction's value and raises m past
 each valid assignment it meets, so refuting the last m is the whole proof.
 """
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 from .coloring import Coloring, PosetFamily, class_stats, has_rainbow, validate
 from .constructions import (chain_interval_coloring, incomparable_traces,
                             lift3_coloring, p3_total_coloring, pk_coloring)
-from .kernel import RainbowKernel, antichain_reach, domain_rule
+from .kernel import antichain_reach, complete, completion_plans, mask_tables
 from .lattice import (CANONICAL_CAP, all_subset_permutation_tables, check_dimension,
                       comparable, full_set, is_subset, submasks_ascending)
 from .posets import Poset, antichain, chain, diamond, vee, wedge
@@ -57,11 +55,12 @@ class _MaxMinSearch:
     pass ends with m - 1 as the optimum and `best` as the least valid
     assignment that attains it (or None when no leaf qualified).
 
-    Members of two or three elements and induced antichains are
-    forward-checked: `allowed[c]` holds the sets that color c may still
-    take without completing a rainbow copy with the sets already placed
-    (see kernel.domain_rule).  The kernel searches for copies of the other
-    members after each placement."""
+    Every member is forward-checked: `allowed[c]` holds the sets that color
+    c may still take without completing a rainbow copy with the sets
+    already placed, so no placement ever completes one.  Placing s removes
+    the later sets that complete a copy whose second-largest set is s (see
+    kernel.completion_plans and kernel.antichain_reach); a one-element
+    member leaves no set to any color."""
 
     def __init__(self, n, l, members, mode, partial, budget, sym_depth, cap):
         self.size = 1 << n
@@ -80,20 +79,17 @@ class _MaxMinSearch:
                 self.sym_invs.append(inv)
         self.assign = [0] * self.size
         self.counts = [0] * (l + 1)
+        self.color_mask = [0] * (l + 1)  # the placed sets of each color; [0] stays 0
         self.m = 0
         self.best: list[int] | None = None
-        rules = [domain_rule(p, mode == "induced", n) for p in members]
-        unruled = [p for p, rule in zip(members, rules) if rule is None]
-        rules = [rule for rule in rules if rule is not None]
-        # the kernel reads assign live and owns the per-color masks
-        self.kernel = RainbowKernel(n, l, unruled, mode, self.assign)
-        self.color_mask = self.kernel.color_mask
-        self.search_copies = bool(unruled)
-        self.cones = tuple(t for cones, _, _ in rules for t in cones)
-        self.triples = tuple(t for _, triples, _ in rules for t in triples)
-        self.needs = tuple(sorted({need for _, _, need in rules if need}))
-        # None when no member has a rule: the search keeps no domains then
-        self.allowed = [(1 << self.size) - 1] * (l + 1) if rules else None
+        self.incomp = mask_tables(n).incomp
+        induced = mode == "induced"
+        cliques = [p for p in members if induced and p.is_antichain() and p.size >= 4]
+        self.needs = tuple(sorted({p.size - 2 for p in cliques}))
+        self.plans = tuple(plan for p in members if p not in cliques
+                           for plan in completion_plans(p, induced, n))
+        self.full = (1 << self.size) - 1
+        self.allowed = [0 if any(p.size == 1 for p in members) else self.full] * (l + 1)
 
     def run(self, m: int) -> bool:
         """Search from bound m until m passes the cap or the tree is
@@ -126,60 +122,31 @@ class _MaxMinSearch:
         """Take from the other colors' domains every set that would complete
         a rainbow copy with s, just placed in color c, and the sets placed
         before it.  Returns the domains as they were."""
-        allowed = self.allowed
-        saved = allowed.copy()
-        if self.cones or self.triples:
-            self._shrink_small(s, c)
-        if self.needs:
-            self._shrink_antichains(s, c)
-        return saved
-
-    def _shrink_small(self, s: int, c: int) -> None:
-        """The cone and triple rules of the members of two or three
-        elements."""
         allowed, color_mask, l = self.allowed, self.color_mask, self.l
-        cone = 0
-        for table in self.cones:
-            cone |= table[s]
-        # lose[b]: the third sets of copies through s and a set of color b
-        lose = [0] * (l + 1)
-        for near, mine, theirs in self.triples:
-            close, own = near[s], mine[s]
-            for b in range(1, l + 1):
-                placed = color_mask[b] & close if b != c else 0
-                if placed:
-                    reach = 0
-                    while placed:
-                        low = placed & -placed
-                        reach |= theirs[low.bit_length() - 1]
-                        placed ^= low
-                    lose[b] |= own & reach
-        for b in range(1, l + 1):
-            if b != c:
-                kill = cone
-                for x in range(1, l + 1):
-                    if x != b:
-                        kill |= lose[x]  # lose[c] stays 0
-                allowed[b] &= ~kill
-
-    def _shrink_antichains(self, s: int, c: int) -> None:
-        """Take from each other color d the sets above s that would complete
-        a rainbow induced antichain with s and placed sets of the colors
-        other than c and d.  A copy is caught when its second-largest set
-        is placed, as the others precede it."""
-        allowed, incomp, l = self.allowed, self.kernel.incomp, self.l
-        inc = incomp[s]
-        placed = [(b, m) for b, cm in enumerate(self.color_mask)
-                  if b != c and (m := cm & inc)]  # color 0 has no sets
-        above = inc & (-2 << s)
-        for need in self.needs:
-            if len(placed) < need:
-                break
-            for d in range(1, l + 1):
-                target = allowed[d] & above if d != c else 0
-                if target:
-                    others = [m for b, m in placed if b != d]
-                    allowed[d] &= ~antichain_reach(others, need, target, incomp)
+        saved = allowed.copy()
+        above = self.full & (-2 << s)
+        for steps, cuts in self.plans:
+            first = cuts[0]
+            target = above & first[s] if first is not None else above
+            if target:
+                complete(steps, cuts, [s], 1 << c, target, color_mask, allowed)
+        if self.needs:
+            # an induced A_k: each other color d loses the sets above s that
+            # complete a clique with s and k - 2 placed sets of colors other
+            # than c and d
+            incomp = self.incomp
+            inc = incomp[s]
+            placed = [(b, m) for b, cm in enumerate(color_mask)
+                      if b != c and (m := cm & inc)]  # color 0 has no sets
+            for need in self.needs:
+                if len(placed) < need:
+                    break
+                for d in range(1, l + 1):
+                    target = allowed[d] & inc & above if d != c else 0
+                    if target:
+                        others = [m for b, m in placed if b != d]
+                        allowed[d] &= ~antichain_reach(others, need, target, incomp)
+        return saved
 
     def _dfs(self, pos: int, used: int) -> bool:
         # True stops the pass: the incumbent reached the cap
@@ -199,7 +166,7 @@ class _MaxMinSearch:
             d = m - counts[c]
             if d > 0:
                 # color c reaches m only through the sets it may still take
-                if allowed and (allowed[c] >> pos).bit_count() < d:
+                if (allowed[c] >> pos).bit_count() < d:
                     return False
                 deficit += d
         if deficit > self.size - pos:
@@ -209,22 +176,19 @@ class _MaxMinSearch:
         if self.partial:
             if self._dfs(pos + 1, used):
                 return True
-        assign, color_mask, search_copies = self.assign, self.color_mask, self.search_copies
+        assign, color_mask = self.assign, self.color_mask
         top = used + 1 if used < self.l else self.l
         bit = 1 << pos
         for c in range(1, top + 1):
-            if allowed and not allowed[c] & bit:
+            if not allowed[c] & bit:
                 continue
             assign[pos] = c
             counts[c] += 1
             color_mask[c] |= bit
-            saved = self._shrink(pos, c) if allowed else None
-            # ids are assigned in ascending order, so pos is the newest set
-            if not (search_copies and self.kernel.through(pos, newest=True)):
-                if self._dfs(pos + 1, used if c <= used else c):
-                    return True
-            if saved:
-                allowed[:] = saved
+            saved = self._shrink(pos, c)
+            if self._dfs(pos + 1, used if c <= used else c):
+                return True
+            allowed[:] = saved
             counts[c] -= 1
             color_mask[c] &= ~bit
         assign[pos] = 0
@@ -309,7 +273,8 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
     incumbent.  Witnesses found by search are the lexicographically least
     valid assignment at the optimum; a witness taken straight from a
     construction is reported via seed_source.
-    The search checks rainbow copies with the bitset kernel at every n.
+    The search forward-checks rainbow copies with the kernel's cone masks
+    at every n.
     """
     check_dimension(n)
     if l < 1:

@@ -168,6 +168,24 @@ def test_missing_argument_exits_2_naming_the_flag(argv, flag, capsys):
     assert err.startswith("error: ") and flag in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec", [
+    '{"relations": []}', '{"size": 2, "relations": [[0, "1"]]}', '{"size": 2, "relations": 5}'])
+def test_malformed_poset_object_exits_2(spec, capsys):
+    # a bad explicit poset is a usage error in --poset and in --forbid alike
+    assert run_cli("detect", "--family", "[0,1,2,3]", "--poset", spec) == 2
+    assert run_cli("solve", "--n", "2", "--colors", "2", "--forbid", f"A2,{spec}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_forbid_takes_explicit_objects(capsys):
+    # commas inside an explicit object do not split the family
+    assert run_cli("solve", "--n", "3", "--colors", "2",
+                   "--forbid", '{"size": 2, "relations": [[0, 1]]}') == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["value"], out["status"]) == (2, "optimal")
+
+
 def test_format_csv_is_rejected(capsys):
     # no subcommand writes CSV to stdout, so the choice is not offered
     with pytest.raises(SystemExit) as exc:

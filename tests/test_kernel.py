@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbow_lattice.kernel import (_TABLE_BITS, RainbowKernel, antichain_reach, domain_rule,
-                                    mask_tables)
+from rainbow_lattice.kernel import (_TABLE_BITS, RainbowKernel, antichain_reach,
+                                    completion_plans, mask_tables)
 from rainbow_lattice.lattice import ENUMERATION_CAP, comparable, is_subset
 from rainbow_lattice.posets import build_poset, embed_poset
 from oracles import copy_tuples, oracle_has_rainbow
@@ -113,24 +113,39 @@ def test_antichain_reach_is_the_union_over_cliques(case, need, target):
 @pytest.mark.parametrize("spec", ["P2", "A2", "P3", "A3", "V2", "W2", "P2+A1", "A4", "A6", "D2"])
 @pytest.mark.parametrize("induced", [True, False])
 def test_domain_rules_reach_only_later_sets(spec, induced):
-    # the solver places sets in ascending id order: a placed set is never
-    # in up[s], and down cones hold only sets placed already
+    # the solver places sets in ascending id order and catches a copy when
+    # its second-largest set s is placed: the role b of the later set t is
+    # never below the role a of s, and no other element lies above either,
+    # so the steps place the others among the earlier sets
     poset = build_poset(spec)
-    rule = domain_rule(poset, induced, 3)
     t = mask_tables(3)
-    if rule is None:
-        assert poset.size >= 4 and not (induced and poset.is_antichain())
-        return
-    cones, triples, need = rule
-    assert need == (poset.size - 2 if induced and poset.is_antichain() and poset.size >= 4
-                    else 0)
-    assert t.down not in cones
-    for near, mine, theirs in triples:
-        assert near is not t.up and t.down not in (mine, theirs)
+    plans = completion_plans(poset, induced, 3)
+    assert plans
+    seen = set()
+    for steps, cuts in plans:
+        assert len(steps) == poset.size - 2 and len(cuts) == poset.size - 1
+        # t lies below no image: b is not below a, nor below any other element
+        assert t.down not in cuts
+        for k, step in enumerate(steps):
+            assert all(j <= k for _, j in step)  # only images placed already
+            # the others lie below s or apart from it: no element is above a
+            assert all(x is not t.up or j for x, j in step)
+        key = tuple(tuple((id(x), j) for x, j in step) for step in steps), tuple(map(id, cuts))
+        assert key not in seen  # relabelings are kept once
+        seen.add(key)
+    if spec in ("P2", "P3", "A3"):
+        assert len(plans) == 1
     if spec == "P2":
-        assert cones == (t.up,)
+        assert plans == (((), (t.up,)),)
     if spec == "P3":
-        assert triples == ((t.down, t.up, t.up),)
+        steps = (((t.down, 0),),)  # the bottom below s, then t above both
+        assert plans == ((steps, (t.up, t.up)),)
+    if spec == "A3":
+        cut = t.incomp if induced else None
+        step = ((t.incomp, 0),) if induced else ()
+        assert plans == (((step,), (cut, cut)),)
+    # a one-element member has no pair of roles: the solver empties the domains
+    assert completion_plans(build_poset("A1"), induced, 3) == ()
 
 
 @pytest.mark.parametrize("n", [*range(1, 7), 13, 14, 20])

@@ -1,9 +1,12 @@
 """Poset construction, duality, components and copy detection vs oracles."""
 
+import json
 import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbow_lattice.lattice import full_set, subset_of
 from rainbow_lattice.posets import Poset, build_poset, find_copy
@@ -39,6 +42,40 @@ def test_malformed_and_cyclic():
         build_poset({"size": 2, "relations": [[0, 1], [1, 0]]})
     with pytest.raises(ValueError):
         build_poset({"size": 1, "relations": [[0, 0]]})
+
+
+# JSON values an explicit poset object may carry, with small integers
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 5), st.floats(-2, 5),
+                     st.text(max_size=2))
+_JSON = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=2), inner, max_size=2)),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(["size", "relations", "name"]),
+                       st.one_of(_JSON, st.lists(st.lists(_SCALARS, max_size=3), max_size=3)),
+                       max_size=3),
+       st.booleans())
+def test_malformed_objects_raise_value_error(obj, as_text):
+    # any explicit object builds a poset or raises ValueError, never a
+    # KeyError or TypeError: bad input is the caller's error, not a crash
+    spec = json.dumps(obj) if as_text else obj
+    try:
+        p = build_poset(spec)
+    except ValueError:
+        return
+    assert p.size == obj["size"] and len(p.less) >= len(set(map(tuple, obj.get("relations", []))))
+
+
+@pytest.mark.parametrize("spec", [
+    '{"relations": []}', '{"size": 2, "relations": [[0, "1"]]}',
+    '{"size": 2, "relations": 5}', '{"size": "2"}', '{"size": 2, "relations": [[0, 1, 1]]}',
+    '{"size": true}', '{"size": 2.0}', '{"size": 2, "relations": [[0, 1.5]]}', '{"size": 2',
+])
+def test_malformed_object_examples(spec):
+    with pytest.raises(ValueError):
+        build_poset(spec)
 
 
 def test_closure_irreflexive_for_all_builtins():

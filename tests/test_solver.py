@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from rainbow_lattice import solver
+from rainbow_lattice import kernel, solver
 from rainbow_lattice.coloring import Coloring, PosetFamily, class_stats, validate
 from rainbow_lattice.lattice import comparable, full_set, interval_members, Interval
 from rainbow_lattice.posets import build_poset
@@ -82,12 +82,24 @@ class TestSolveKnownValues:
     def test_search_pinned_antichains(self, kind, n, l, spec, value, nodes, witness):
         # the antichain detector decides only yes/no, so a faster one must
         # leave the node count and the search's witness exactly as they are;
-        # A3 is forward-checked by its triple rule, A5 by the antichain rule
+        # A3 is forward-checked by its completion plan, A5 by the clique walk
         # (340,776 nodes when A5 took a copy search after every placement)
         res = solve_min_class(n, l, PosetFamily.from_spec(spec), kind=kind)
         assert res.value == res.upper == value and res.status == "optimal"
         assert res.nodes_explored == nodes
         assert res.seed_source == "search" and res.witness.assign == witness
+
+    @pytest.mark.parametrize("spec,nodes,witness", [
+        ("V3", 1828, [1, 1, 2, 1, 2, 1, 3, 4, 2, 3, 3, 4, 3, 4, 4, 2]),
+        ("P3+A1", 3942, [1, 1, 2, 3, 2, 4, 2, 3, 4, 2, 4, 3, 3, 4, 1, 1]),
+    ])
+    def test_search_pinned_four_elements(self, spec, nodes, witness):
+        # four-element members are forward-checked by their completion
+        # plans: 10,230 and 29,503 nodes with a copy search per placement,
+        # and the same least witness
+        res = solve_min_class(4, 4, PosetFamily.from_spec(spec))
+        assert (res.value, res.upper, res.status, res.seed_source) == (4, 4, "optimal", "search")
+        assert res.nodes_explored == nodes and res.witness.assign == witness
 
     def test_F_5_5_A5_within_budget(self):
         # forward-checked, the total solve needs 6,710 nodes (269,502 with a
@@ -129,6 +141,16 @@ class TestSolveKnownValues:
             assert validate(res.witness, fam) is None
         assert res.seed_source == "search"
 
+    def test_explicit_member_in_spec(self):
+        # a spec splits on the commas outside explicit objects only
+        obj = '{"size": 2, "relations": [[0, 1]]}'
+        fam = PosetFamily.from_spec(obj)
+        assert fam.members == (build_poset("P2"),)
+        assert solve_min_class(3, 2, fam).value == \
+            solve_min_class(3, 2, PosetFamily.from_spec("P2")).value == 2
+        mixed = PosetFamily.from_spec(f"A3,{obj}, V2").members
+        assert mixed == tuple(map(build_poset, ("A3", "P2", "V2")))
+
     def test_small_n_exhaustive_arbiter(self):
         # the solver, not the closed form, decides the n=2 and n=3 values
         assert solve_min_class(2, 2, PosetFamily.from_spec("A2")).value == 2
@@ -160,7 +182,7 @@ class TestSolveOracle:
     @pytest.mark.parametrize("kind", ["partial", "total"])
     def test_four_colors_and_mixed_families(self, kind, mode):
         # four colors leave two to lose a three-element copy's third set;
-        # D2 keeps the kernel's copy search beside the domain rules
+        # D2 takes its completion plan beside the three-element ones
         for spec in SMALL_SHAPES:
             _agrees_with_oracle(2, 4, [spec], mode, kind)
         for n, l, specs in ((3, 3, ("P3", "V2", "W2")), (3, 3, ("A2", "A3")),
@@ -181,45 +203,58 @@ class TestSolveOracle:
             _agrees_with_oracle(2, l, specs, "weak", kind)
 
     def test_induced_antichains_need_no_copy_search(self, monkeypatch):
+        # every member is forward-checked, so the search never asks the
+        # kernel for a copy: induced antichains, four-element posets and
+        # their mixtures alike
         calls = []
+        through = kernel.RainbowKernel.through
 
-        class Counting(solver.RainbowKernel):
-            def through(self, pos, newest=False):
-                calls.append(pos)
-                return super().through(pos, newest)
+        def counting(self, pos, newest=False):
+            calls.append(pos)
+            return through(self, pos, newest)
 
-        monkeypatch.setattr(solver, "RainbowKernel", Counting)
-        res = solve_min_class(4, 5, PosetFamily.from_spec("A5"), use_construction_seed=False)
-        assert res.status == "optimal" and res.nodes_explored > 0
-        assert calls == []
-        # D2 still takes the copy search beside the antichain rule
-        solve_min_class(3, 4, PosetFamily.from_spec("A4,D2"), use_construction_seed=False)
-        assert calls
+        monkeypatch.setattr(kernel.RainbowKernel, "through", counting)
+        for n, l, spec in ((4, 5, "A5"), (3, 4, "D2"), (3, 4, "A4,D2"), (3, 4, "P4"),
+                           (3, 4, "V3")):
+            members = list(PosetFamily.from_spec(spec).members)
+            search = solver._MaxMinSearch(n, l, members, "induced", True, 10 ** 6, 0,
+                                          (1 << n) // l)
+            assert search.run(0) and search.nodes > 0 and search.best is not None
+            assert calls == [], spec
 
-    @pytest.mark.parametrize("specs,l", [(("A4",), 4), (("A4",), 6), (("A5",), 5),
-                                         (("A4", "A5"), 5)])
+    @pytest.mark.parametrize("specs,l", [
+        (("A4",), 4), (("A4",), 6), (("A5",), 5), (("A4", "A5"), 5),
+        *(((spec,), 3) for spec in SMALL_SHAPES), (("P2+A1",), 4), (("A3",), 4),
+        (("D2",), 4), (("P4",), 5), (("V3",), 4), (("P3+A1",), 4),
+        (("P3", "V2", "W2"), 3), (("A2", "D2"), 4), (("A4", "D2"), 5), (("A3", "P4"), 4)])
     def test_antichain_domains_are_exact(self, specs, l):
         # sets placed in id order at n = 4, where B_4 holds induced A4 and
         # A5: every color's domain above the newest set is exactly the sets
         # that would complete no rainbow copy with the sets placed so far
+        # (whose other sets are colored, so placed, so below x)
         members = [build_poset(s) for s in specs]
-        copies = {tuple(sorted(t)) for p in members for t in copy_tuples(4, p, "induced")}
-        rng = random.Random(l)
-        for _ in range(6):
-            search = solver._MaxMinSearch(4, l, members, "induced", True, 0, 0, 0)
-            assign = search.assign
-            for pos in range(16):
-                c = rng.randrange(l + 1)
-                if c and search.allowed[c] >> pos & 1:
-                    assign[pos] = c
-                    search.color_mask[c] |= 1 << pos
-                    search._shrink(pos, c)
-                for d in range(1, l + 1):
-                    for x in range(pos + 1, 16):
-                        rainbow = any(
-                            x in t and len({assign[u] for u in t if u != x} - {0, d}) == len(t) - 1
-                            for t in copies)
-                        assert (search.allowed[d] >> x & 1) == (not rainbow), (pos, d, x)
+        for mode in ("induced", "weak"):
+            copies = {tuple(sorted(t)) for p in members for t in copy_tuples(4, p, mode)}
+            rng = random.Random(l)
+            for _ in range(6):
+                search = solver._MaxMinSearch(4, l, members, mode, True, 0, 0, 0)
+                assign = search.assign
+                for pos in range(16):
+                    c = rng.randrange(l + 1)
+                    if c and search.allowed[c] >> pos & 1:
+                        assign[pos] = c
+                        search.color_mask[c] |= 1 << pos
+                        search._shrink(pos, c)
+                    # lost[x]: the colors that x would complete a copy in
+                    lost = {x: set() for x in range(pos + 1, 16)}
+                    for t in copies:
+                        x, rest = t[-1], {assign[u] for u in t[:-1]}
+                        if x > pos and 0 not in rest and len(rest) == len(t) - 1:
+                            lost[x] |= set(range(1, l + 1)) - rest
+                    for d in range(1, l + 1):
+                        for x in range(pos + 1, 16):
+                            want = d not in lost[x]
+                            assert (search.allowed[d] >> x & 1) == want, (mode, pos, d, x)
 
     def test_weak_mode_against_oracle(self):
         for spec in ("P2", "P3", "V2"):
