@@ -17,7 +17,7 @@ from itertools import permutations
 # 3 * 4^n bits (1.5 GiB at n=16); above n=13 it computes them on demand.
 ENUMERATION_CAP = 20
 ANALYTIC_CAP = 63
-CANONICAL_CAP = 4
+CANONICAL_CAP = 5
 
 
 def check_dimension(n, analytic: bool = False) -> None:

@@ -3,11 +3,13 @@ cross-incomparability and greedy-cover diagnostics.
 
 The solver finds the largest m such that a valid (partial or total)
 l-coloring with every class of size >= m exists, in one depth-first pass
-over subset ids with first-use color symmetry breaking and optional exact
-orbit pruning.  Every forbidden member is forward-checked: each color
-keeps a domain mask of the sets it may still take, so a color that would
-complete a rainbow copy is never tried and no copy search is needed, and
-the pass backs up once some color can no longer reach m.
+over subset ids with first-use color symmetry breaking and, up to
+n = CANONICAL_CAP, exact S_n orbit pruning by an incremental lex-leader
+check at every depth.  Every forbidden member is forward-checked: each
+color keeps a domain mask of the sets it may still take, so a color that
+would complete a rainbow copy is never tried and no copy search is needed,
+and the pass backs up once some color can no longer reach m, alone or, by
+Hall's condition, together with other short colors.
 The pass starts one above the best construction's value and raises m past
 each valid assignment it meets, so refuting the last m is the whole proof.
 """
@@ -15,7 +17,7 @@ each valid assignment it meets, so refuting the last m is the whole proof.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .coloring import Coloring, PosetFamily, class_stats, has_rainbow, validate
 from .constructions import (chain_interval_coloring, incomparable_traces,
@@ -39,11 +41,13 @@ class SolveResult:
     nodes_explored: int
     cap: int
     seed_source: str = "none"
+    # nodes cut by each bound: per-color count, Hall, S_n lex-leader
+    prunes: dict = field(default_factory=lambda: {"count": 0, "hall": 0, "symmetry": 0})
 
     def to_json_dict(self) -> dict:
         return {"value": self.value, "upper": self.upper, "status": self.status,
                 "nodes_explored": self.nodes_explored, "cap": self.cap,
-                "seed_source": self.seed_source,
+                "seed_source": self.seed_source, "prunes": self.prunes,
                 "witness": self.witness.to_json_dict() if self.witness else None}
 
 
@@ -60,23 +64,39 @@ class _MaxMinSearch:
     already placed, so no placement ever completes one.  Placing s removes
     the later sets that complete a copy whose second-largest set is s (see
     kernel.completion_plans and kernel.antichain_reach); a one-element
-    member leaves no set to any color."""
+    member leaves no set to any color.
 
-    def __init__(self, n, l, members, mode, partial, budget, sym_depth, cap):
+    A color still short of m by d sets needs d of the sets left in its
+    domain, and by Hall's condition every set of two or more short colors
+    needs the union of their domains to hold the sum of their deficits.
+    With `sym` on, the pass visits only lex-leaders: assignments that no
+    element permutation maps to a lexicographically smaller one.  Each
+    permutation still tied with the prefix waits in `waiting[w]` for the
+    position w that its next comparison reads; placing w advances only
+    those, prunes when one maps the prefix below itself and drops one that
+    maps it above.  The least valid assignment at any bound is the least
+    of its orbit, so neither prune changes the value or the witness.
+    The prunes by reason are counted in `count_prunes`, `hall_prunes` and
+    `sym_prunes`."""
+
+    def __init__(self, n, l, members, mode, partial, budget, sym, cap):
         self.size = 1 << n
         self.l = l
         self.cap = cap
         self.partial = partial
         self.budget = budget
         self.nodes = 0
-        self.sym_depth = sym_depth
-        self.sym_invs = []
-        if sym_depth > 0:
+        self.count_prunes = self.hall_prunes = self.sym_prunes = 0
+        self.sym = bool(sym)
+        # waiting[w]: (inv, t) for a permutation whose image of the prefix
+        # equals it before position t; inv[t] is the set the image puts at t
+        self.waiting = [[] for _ in range(self.size)]
+        if self.sym:
             for table in all_subset_permutation_tables(n)[1:]:
                 inv = [0] * self.size
                 for s, img in enumerate(table):
                     inv[img] = s
-                self.sym_invs.append(inv)
+                self.waiting[0].append((inv, 0))
         self.assign = [0] * self.size
         self.counts = [0] * (l + 1)
         self.color_mask = [0] * (l + 1)  # the placed sets of each color; [0] stays 0
@@ -101,22 +121,29 @@ class _MaxMinSearch:
             return False
         return True
 
-    def _canonical_prefix(self, pos: int) -> bool:
-        # Prune when some element permutation maps the assigned prefix to a
-        # lexicographically smaller, fully determined one; any completion of
-        # the current prefix then has a smaller equivalent elsewhere.
-        assign = self.assign
-        for inv in self.sym_invs:
-            for t in range(pos):
+    def _untie(self, p: int) -> list[int] | None:
+        """Advance the permutations waiting on position p, just placed.
+        Returns the positions they now wait on, for the caller to pop on
+        backtrack, or None when one maps the prefix below itself."""
+        assign, waiting = self.assign, self.waiting
+        moved = []
+        for inv, t in waiting[p]:
+            while True:
                 q = inv[t]
-                if q >= pos:
+                w = q if q > t else t
+                if w > p:
+                    waiting[w].append((inv, t))
+                    moved.append(w)
                     break
                 b, a = assign[q], assign[t]
-                if b < a:
-                    return False
                 if b > a:
                     break
-        return True
+                if b < a:
+                    for v in moved:
+                        waiting[v].pop()
+                    return None
+                t += 1
+        return moved
 
     def _shrink(self, s: int, c: int) -> list[int]:
         """Take from the other colors' domains every set that would complete
@@ -162,17 +189,41 @@ class _MaxMinSearch:
         self.nodes += 1
         m, counts, allowed = self.m, self.counts, self.allowed
         deficit = 0
+        short = []
         for c in range(1, self.l + 1):
             d = m - counts[c]
             if d > 0:
                 # color c reaches m only through the sets it may still take
-                if (allowed[c] >> pos).bit_count() < d:
+                free = allowed[c] >> pos
+                if free.bit_count() < d:
+                    self.count_prunes += 1
                     return False
                 deficit += d
+                short.append((free, d))
         if deficit > self.size - pos:
+            self.count_prunes += 1
             return False
-        if self.sym_invs and 0 < pos <= self.sym_depth and not self._canonical_prefix(pos):
-            return False
+        if len(short) > 1:
+            # Hall: each union of two or more short colors' domains holds
+            # their deficits; unions of the first colors are extended by
+            # the next one, so l short colors take 2^l - l - 1 ORs
+            unions = short[:1]
+            for free, d in short[1:]:
+                for i in range(len(unions)):
+                    u, need = unions[i]
+                    u |= free
+                    need += d
+                    if u.bit_count() < need:
+                        self.hall_prunes += 1
+                        return False
+                    unions.append((u, need))
+                unions.append((free, d))
+        moved = None
+        if self.sym and pos:
+            moved = self._untie(pos - 1)
+            if moved is None:
+                self.sym_prunes += 1
+                return False
         if self.partial:
             if self._dfs(pos + 1, used):
                 return True
@@ -192,6 +243,10 @@ class _MaxMinSearch:
             counts[c] -= 1
             color_mask[c] &= ~bit
         assign[pos] = 0
+        if moved:
+            waiting = self.waiting
+            for w in moved:
+                waiting[w].pop()
         return False
 
 
@@ -307,17 +362,21 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
     if sym_prune is None:
         sym_prune = n <= CANONICAL_CAP
     search = _MaxMinSearch(n, l, members, forbidden.mode, kind == "partial",
-                           budget, n if sym_prune else 0, upper)
+                           budget, sym_prune, upper)
     # with no witness yet (total colorings may be infeasible outright, for
     # 1-element members) the pass starts at m = 0 and takes any valid leaf
     finished = search.run(lo + 1)
     lo = search.m - 1
+    prunes = {"count": search.count_prunes, "hall": search.hall_prunes,
+              "symmetry": search.sym_prunes}
     if search.best is not None:
         witness, source = Coloring(n, l, search.best), "search"
     if witness is None:
         if finished:
-            return SolveResult(-1, -1, None, "optimal", search.nodes, cap, "infeasible")
-        return SolveResult(-1, upper, None, "lower_bound_only", search.nodes, cap, source)
+            return SolveResult(-1, -1, None, "optimal", search.nodes, cap, "infeasible",
+                               prunes)
+        return SolveResult(-1, upper, None, "lower_bound_only", search.nodes, cap, source,
+                           prunes)
     # a pass cut short proves nothing above its incumbent
     status, hi = ("optimal", lo) if finished else ("lower_bound_only", upper)
 
@@ -326,7 +385,7 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
         raise AssertionError("internal error: unsound witness")
     if kind == "total" and not witness.is_total():
         raise AssertionError("internal error: partial witness for a total solve")
-    return SolveResult(lo, hi, witness, status, search.nodes, cap, source)
+    return SolveResult(lo, hi, witness, status, search.nodes, cap, source, prunes)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 
 from rainbow_lattice import kernel, solver
 from rainbow_lattice.coloring import Coloring, PosetFamily, class_stats, validate
-from rainbow_lattice.lattice import comparable, full_set, interval_members, Interval
+from rainbow_lattice.lattice import (all_subset_permutation_tables, canonical_assignment,
+                                     comparable, full_set, interval_members, Interval)
 from rainbow_lattice.posets import build_poset
 from rainbow_lattice.solver import (az_decompose, cross_sperner_check,
                                     greedy_tuples_and_cover, ordered_set_partitions,
@@ -36,6 +37,27 @@ def _agrees_with_oracle(n, l, specs, mode, kind):
             (n, l, specs, mode, kind, sym_prune)
 
 
+def _full_prefix_lex_leader(invs, assign, pos):
+    """Reference check: no permutation maps the first pos positions to a
+    lexicographically smaller image, compared up to the first position the
+    image does not fully determine."""
+    for inv in invs:
+        for t in range(pos):
+            q = inv[t]
+            if q >= pos:
+                break
+            if assign[q] != assign[t]:
+                if assign[q] < assign[t]:
+                    return False
+                break
+    return True
+
+
+# a witness for f(5,3,A3) >= 7: the search's least one at the optimum
+F_5_3_A3_WITNESS = [1, 0, 1, 0, 1, 0, 2, 0, 1, 0, 2, 0, 2, 0, 2, 3,
+                    1, 0, 2, 0, 2, 0, 3, 3, 2, 0, 3, 3, 3, 3, 1, 1]
+
+
 class TestSolveKnownValues:
     def test_f_4_2_A2(self):
         res = solve_min_class(4, 2, PosetFamily.from_spec("A2"))
@@ -56,8 +78,8 @@ class TestSolveKnownValues:
         assert res.nodes_explored == 0 and res.seed_source == "construction:pk"
 
     @pytest.mark.parametrize("spec,nodes,source,witness", [
-        ("P3", 3136, "construction:p3", [3, 1, 2, 3] * 4),
-        ("V2", 951, "search", [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4),
+        ("P3", 739, "construction:p3", [3, 1, 2, 3] * 4),
+        ("V2", 506, "search", [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4),
     ])
     def test_search_pinned_n4(self, spec, nodes, source, witness):
         # exact node counts and witnesses: a detector change must not move the
@@ -73,9 +95,9 @@ class TestSolveKnownValues:
         assert plain.witness.assign == [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4
 
     @pytest.mark.parametrize("kind,n,l,spec,value,nodes,witness", [
-        ("partial", 4, 4, "A3", 3, 47799, [1, 0, 1, 0, 1, 0, 2, 0, 3, 4, 4, 2, 4, 2, 3, 3]),
-        ("total", 4, 4, "A3", 2, 3576, [1, 1, 1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 3, 4, 4, 3]),
-        ("partial", 5, 5, "A5", 6, 8379,
+        ("partial", 4, 4, "A3", 3, 3655, [1, 0, 1, 0, 1, 0, 2, 0, 3, 4, 4, 2, 4, 2, 3, 3]),
+        ("total", 4, 4, "A3", 2, 631, [1, 1, 1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 3, 4, 4, 3]),
+        ("partial", 5, 5, "A5", 6, 5875,
          [0, 0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3, 4, 4, 3, 5, 2, 5, 3, 3, 4,
           5, 3, 5, 4, 5, 5, 4, 4]),
     ])
@@ -90,8 +112,8 @@ class TestSolveKnownValues:
         assert res.seed_source == "search" and res.witness.assign == witness
 
     @pytest.mark.parametrize("spec,nodes,witness", [
-        ("V3", 1828, [1, 1, 2, 1, 2, 1, 3, 4, 2, 3, 3, 4, 3, 4, 4, 2]),
-        ("P3+A1", 3942, [1, 1, 2, 3, 2, 4, 2, 3, 4, 2, 4, 3, 3, 4, 1, 1]),
+        ("V3", 938, [1, 1, 2, 1, 2, 1, 3, 4, 2, 3, 3, 4, 3, 4, 4, 2]),
+        ("P3+A1", 1505, [1, 1, 2, 3, 2, 4, 2, 3, 4, 2, 4, 3, 3, 4, 1, 1]),
     ])
     def test_search_pinned_four_elements(self, spec, nodes, witness):
         # four-element members are forward-checked by their completion
@@ -102,7 +124,7 @@ class TestSolveKnownValues:
         assert res.nodes_explored == nodes and res.witness.assign == witness
 
     def test_F_5_5_A5_within_budget(self):
-        # forward-checked, the total solve needs 6,710 nodes (269,502 with a
+        # forward-checked, the total solve needs 3,171 nodes (269,502 with a
         # copy search per placement) and finds the same least witness
         res = solve_min_class(5, 5, PosetFamily.from_spec("A5"), kind="total",
                               budget=20_000)
@@ -140,6 +162,37 @@ class TestSolveKnownValues:
             assert class_stats(res.witness).min_size == value
             assert validate(res.witness, fam) is None
         assert res.seed_source == "search"
+
+    @pytest.mark.parametrize("spec", ["A2", "P2"])
+    def test_n5_prunes_keep_value_and_witness(self, spec):
+        # the S_5 lex-leader prune must not move the value, the bracket or
+        # the witness, with or without the construction seed
+        fam = PosetFamily.from_spec(spec)
+        for seeded in (True, False):
+            on, off = (solve_min_class(5, 2, fam, use_construction_seed=seeded, sym_prune=sym)
+                       for sym in (True, False))
+            assert (on.value, on.upper, on.status, on.seed_source, on.witness.assign) == \
+                (off.value, off.upper, off.status, off.seed_source, off.witness.assign)
+            assert on.nodes_explored < off.nodes_explored and on.prunes["symmetry"] > 0
+            assert off.prunes["symmetry"] == 0
+
+    def test_f_5_3_A3_witness_replays(self):
+        # f(5,3,A3) = 7 takes ~3M nodes to prove; its witness alone is cheap
+        col = Coloring(5, 3, F_5_3_A3_WITNESS)
+        assert validate(col, PosetFamily.from_spec("A3")) is None
+        assert class_stats(col).sizes == (7, 7, 7)
+
+    def test_prune_counters_pinned(self):
+        # every node the search cuts is counted once, under the first bound
+        # that cuts it: a color's own count, Hall, then the S_n lex-leader
+        res = solve_min_class(4, 4, PosetFamily.from_spec("A3"))
+        assert res.nodes_explored == 3655
+        assert res.prunes == {"count": 1059, "hall": 1235, "symmetry": 340}
+        assert res.to_json_dict()["prunes"] == res.prunes
+        plain = solve_min_class(4, 4, PosetFamily.from_spec("A3"), sym_prune=False)
+        assert plain.prunes["symmetry"] == 0 and plain.witness.assign == res.witness.assign
+        trivial = solve_min_class(4, 4, PosetFamily.from_spec("P4"))
+        assert trivial.prunes == {"count": 0, "hall": 0, "symmetry": 0}
 
     def test_explicit_member_in_spec(self):
         # a spec splits on the commas outside explicit objects only
@@ -256,6 +309,51 @@ class TestSolveOracle:
                             want = d not in lost[x]
                             assert (search.allowed[d] >> x & 1) == want, (mode, pos, d, x)
 
+    def test_hall_bound_cuts_on_the_oracle_grid(self):
+        # the oracle comparisons above run with the Hall bound on; it must
+        # actually cut there for them to cover it
+        fired = 0
+        for spec in SMALL_SHAPES:
+            for kind in ("partial", "total"):
+                res = solve_min_class(3, 3, PosetFamily.from_spec(spec), kind=kind,
+                                      use_construction_seed=False)
+                fired += res.prunes["hall"]
+        assert fired > 0
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_tie_lists_match_full_prefix_check(self, n):
+        # the incremental lex-leader check prunes exactly the prefixes the
+        # full-prefix check prunes, and backtracking restores its tie lists
+        search = solver._MaxMinSearch(n, 3, [build_poset("A3")], "induced", True, 0, True, 0)
+        size = search.size
+        invs = [inv for inv, _ in search.waiting[0]]
+        assert len(invs) == len(all_subset_permutation_tables(n)) - 1
+        start = [list(bucket) for bucket in search.waiting]
+        rng = random.Random(n)
+        pruned = 0
+        for trial in range(300):
+            values = [rng.choice((0, 0, 1, 2)) for _ in range(size)]
+            if trial % 3:
+                # lex-leaders, some with one set recolored: long tied prefixes
+                values = list(canonical_assignment(n, values))
+                if trial % 3 == 2:
+                    values[rng.randrange(size)] = rng.randrange(3)
+            stack = []
+            for pos in range(1, size):
+                search.assign[pos - 1] = values[pos - 1]
+                moved = search._untie(pos - 1)
+                assert (moved is not None) == _full_prefix_lex_leader(invs, values, pos), \
+                    (values, pos)
+                if moved is None:
+                    pruned += 1
+                    break
+                stack.append(moved)
+            for moved in reversed(stack):
+                for w in moved:
+                    search.waiting[w].pop()
+            assert search.waiting == start
+        assert 0 < pruned < 300
+
     def test_weak_mode_against_oracle(self):
         for spec in ("P2", "P3", "V2"):
             p = build_poset(spec)
@@ -301,16 +399,16 @@ class TestSolveContract:
 
     def test_budget_keeps_proven_upper_bound(self):
         # lo = 3 from the chain construction, cap = 8.  The single pass
-        # refutes m = 4 in 496 nodes; one node fewer proves nothing above
+        # refutes m = 4 in 221 nodes; one node fewer proves nothing above
         # the incumbent, so upper stays at the cap.
         fam = PosetFamily.from_spec("A2")
         res = solve_min_class(4, 2, fam, budget=100)
         assert (res.status, res.value, res.upper) == ("lower_bound_only", 3, 8)
         assert res.nodes_explored == 100
         assert res.to_json_dict()["upper"] == 8
-        done = solve_min_class(4, 2, fam, budget=496)
+        done = solve_min_class(4, 2, fam, budget=221)
         assert (done.status, done.value, done.upper) == ("optimal", 3, 3)
-        cut = solve_min_class(4, 2, fam, budget=495)
+        cut = solve_min_class(4, 2, fam, budget=220)
         assert (cut.status, cut.value, cut.upper) == ("lower_bound_only", 3, 8)
         # budget 0 is a set-up call: no node, no error
         none = solve_min_class(4, 2, fam, budget=0)
