@@ -1,15 +1,16 @@
 """Closed-form extremal values, the entropy-equation scan, and exact
 rational inequality checks.
 
-Everything with shrinking margins runs in fractions.Fraction; only the
-entropy/root code uses floats.
+Everything with shrinking margins is exact: the products and sweeps carry
+integer numerators and denominators, and a fractions.Fraction is built only
+where a function returns one.  Only the entropy/root code uses floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, log2
+from math import comb, gcd, log2, prod
 
 
 @dataclass(frozen=True)
@@ -118,25 +119,33 @@ def solve_c0(tol: float = 1e-10, step: float = 1e-3) -> dict:
 
 
 def squared_ratio_product(l: int, i: int) -> Fraction:
-    """prod_{h=1..i} ((l-h)/(l-h+1))^2, exactly."""
-    out = Fraction(1)
-    for h in range(1, i + 1):
-        out *= Fraction(l - h, l - h + 1) ** 2
-    return out
+    """prod_{h=1..i} ((l-h)/(l-h+1))^2, exactly, for l >= 1 and 0 <= i <= l-1.
+
+    All i factors are multiplied out as integers (numerators l-1 .. l-i,
+    denominators l .. l-i+1) and reduced once."""
+    if l < 1 or not 0 <= i <= l - 1:
+        raise ValueError(f"need l >= 1 and 0 <= i <= l-1, got (l={l}, i={i})")
+    return Fraction(prod(range(l - i, l)), prod(range(l - i + 1, l + 1))) ** 2
 
 
 def g_of_l(l: int) -> Fraction:
-    """The full telescoping product; equals 1/l^2."""
+    """The full telescoping product over all l-1 factors; equals 1/l^2."""
     return squared_ratio_product(l, l - 1)
+
+
+def _stage_overlap_exceeds(l: int, i: int, num: int, den: int) -> bool:
+    """Whether i/l + num/den > 1 - 1/(3l), for den > 0: the stage-overlap
+    inequality multiplied through by 3*l*den, in integers."""
+    return 3 * (i * den + l * num) > (3 * l - 1) * den
 
 
 def eq_inequality_check(l: int, i: int) -> dict:
     """Exact rational test of i/l + prod_{h<=i}((l-h)/(l-h+1))^2 <= 1 - 1/(3l)."""
     if l < 2 or not 1 <= i <= l - 1:
         raise ValueError(f"need l >= 2 and 1 <= i <= l-1, got (l={l}, i={i})")
-    lhs = Fraction(i, l) + squared_ratio_product(l, i)
-    rhs = 1 - Fraction(1, 3 * l)
-    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs}
+    p = squared_ratio_product(l, i)
+    return {"lhs": Fraction(i, l) + p, "rhs": 1 - Fraction(1, 3 * l),
+            "holds": not _stage_overlap_exceeds(l, i, p.numerator, p.denominator)}
 
 
 def delta_l(l: int, i: int) -> Fraction:
@@ -149,27 +158,31 @@ def delta_l(l: int, i: int) -> Fraction:
 
 
 def delta_sequence(l: int) -> list[Fraction]:
-    """All of delta_l(1..l-1) with the running product carried along."""
+    """All of delta_l(1..l-1) with the running product carried along as a
+    reduced integer numerator/denominator pair."""
     out = []
-    prod = Fraction(1)
+    num = den = 1
     for i in range(1, l):
-        step = Fraction(l - i, l - i + 1) ** 2
-        out.append((1 - step) * prod)
-        prod *= step
+        a, b = (l - i) ** 2, (l - i + 1) ** 2
+        out.append(Fraction((b - a) * num, b * den))
+        num, den = num * a, den * b
+        g = gcd(num, den)
+        num, den = num // g, den // g
     return out
 
 
 def eq_sweep(l_max: int) -> list[tuple[int, int]]:
     """Every (l, i) with 2 <= l <= l_max violating the stage-overlap
-    inequality; exact rationals with the product carried incrementally.
-    Expected to come back empty."""
+    inequality; the product is carried incrementally as a reduced integer
+    numerator/denominator pair.  Expected to come back empty."""
     bad = []
     for l in range(2, l_max + 1):
-        rhs = 1 - Fraction(1, 3 * l)
-        prod = Fraction(1)
+        num = den = 1
         for i in range(1, l):
-            prod *= Fraction(l - i, l - i + 1) ** 2
-            if Fraction(i, l) + prod > rhs:
+            num, den = num * (l - i) ** 2, den * (l - i + 1) ** 2
+            g = gcd(num, den)
+            num, den = num // g, den // g
+            if _stage_overlap_exceeds(l, i, num, den):
                 bad.append((l, i))
     return bad
 

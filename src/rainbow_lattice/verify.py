@@ -201,7 +201,8 @@ def _delta_claim(seed, full, budget):
         vals = bounds.delta_sequence(l)
         if vals[0] != bounds.delta_l(l, 1):
             bad.append((l, "mismatch"))
-        if any(a <= b for a, b in zip(vals, vals[1:])):
+        if any(a.numerator * b.denominator <= b.numerator * a.denominator
+               for a, b in zip(vals, vals[1:])):
             bad.append(l)
     return (), tuple(bad), None, ""
 
