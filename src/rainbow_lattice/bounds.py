@@ -70,9 +70,9 @@ def c0_equation_gap(x: float) -> float:
     return binary_entropy(x) - (1.0 - x) * binary_entropy((1.0 - 2.0 * x) / (1.0 - x))
 
 
-def solve_c0(tol: float = 1e-10, step: float = 1e-3) -> dict:
-    """Scan (0, 1/2) for sign changes of the c0 equation gap and bisect each
-    bracket to |gap| < tol.
+def solve_c0(tol: float = 1e-10) -> dict:
+    """Scan (0, 1/2) in steps of 1e-3 for sign changes of the c0 equation
+    gap and bisect each bracket to |gap| < tol.
 
     Returns all roots found plus whether any lies in [1/3, 1/2], the interval
     in which the root is conventionally stated to live.  Finding no sign
@@ -81,10 +81,10 @@ def solve_c0(tol: float = 1e-10, step: float = 1e-3) -> dict:
     if tol <= 0:
         raise ValueError("tol must be positive")
     xs = []
-    x = step
+    x = 1e-3
     while x < 0.5:
         xs.append(x)
-        x += step
+        x += 1e-3
     roots = []
     prev_x, prev_g = xs[0], c0_equation_gap(xs[0])
     for x in xs[1:]:

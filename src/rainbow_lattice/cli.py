@@ -44,14 +44,16 @@ def _emit(data: dict, args) -> None:
     _write(_render(data, args.format), args)
 
 
-def _family_arg(value: str, n: int | None = None):
+def _family_arg(value: str):
     """A family of subsets: inline JSON list or @file; literals per parse_subset."""
     if value.startswith("@"):
         with open(value[1:], encoding="utf-8") as fh:
             raw = json.load(fh)
     else:
         raw = json.loads(value)
-    return [parse_subset(v, n) for v in raw]
+    if not isinstance(raw, list):
+        raise ValueError("--family must be a JSON list of subsets")
+    return [parse_subset(v) for v in raw]
 
 
 def _require(args, what: str, *flags: str) -> None:
@@ -116,7 +118,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    families = [[parse_subset(v, args.n) for v in fam] for fam in json.loads(args.families)]
+    raw = json.loads(args.families)
+    if not isinstance(raw, list) or not all(isinstance(fam, list) for fam in raw):
+        raise ValueError("--families must be a JSON list of lists of subsets")
+    families = [[parse_subset(v, args.n) for v in fam] for fam in raw]
     try:
         dec = az_decompose(args.n, families)
     except ValueError as exc:

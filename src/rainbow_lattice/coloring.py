@@ -72,7 +72,17 @@ class Coloring:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Coloring":
-        return cls(int(data["n"]), int(data["l"]), [int(v) for v in data["colors"]])
+        """Inverse of to_json_dict; a ValueError names a missing or
+        malformed field."""
+        if not isinstance(data, dict):
+            raise ValueError("a coloring is a JSON object with fields n, l and colors")
+        n, l, colors = data.get("n"), data.get("l"), data.get("colors")
+        for key, value in (("n", n), ("l", l)):
+            if type(value) is not int:  # bool is an int subclass, a float truncates
+                raise ValueError(f"coloring field {key!r} is missing or not an integer")
+        if not isinstance(colors, list) or not all(type(v) is int for v in colors):
+            raise ValueError("coloring field 'colors' is missing or not a list of integers")
+        return cls(n, l, colors)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .bounds import equipartition_a, m_of_l
+from .bounds import equipartition_a, formula_A2, m_of_l
 from .coloring import Coloring, PosetFamily
 from .lattice import (check_dimension, full_set, is_proper_subset, is_subset,
                       submasks_ascending, subset_of)
@@ -175,10 +175,9 @@ def chain_interval_coloring(n: int, l: int) -> ConstructionReport:
     Any two sets colored differently are nested, so no rainbow incomparable
     pair exists.  Requires l*log2(l) <= n.
     """
-    if l < 1 or n < 1:
-        raise ValueError("need positive n and l")
-    if l ** l > 2 ** n:
-        raise ValueError(f"requires l*log2(l) <= n; fails for (n={n}, l={l})")
+    formula = formula_A2(n, l)
+    if not formula.applicable:
+        raise ValueError(formula.condition_note)
     check_dimension(n)
     a = equipartition_a(n, l)
     sets = [0]
@@ -201,14 +200,13 @@ def chain_interval_coloring(n: int, l: int) -> ConstructionReport:
     dims = [(sets[i] & ~sets[i - 1]).bit_count() for i in range(1, l + 1)]
     shares = [sum(1 for t in range(l + 1) if t % a == i) for i in range(l)]
     sizes = tuple((2 ** dims[i] - 2) + shares[i] for i in range(l))
-    formula = 2 ** (n // l) - 2 + (l + 1) // a
     return ConstructionReport(
         name="chain", n=n, l=l,
         forbidden=PosetFamily((antichain(2),), "induced"), certificate="structural",
         claimed_min=min(sizes), class_sizes=sizes, uncolored=assign.count(0),
-        coloring=col, formula_min=formula,
+        coloring=col, formula_min=formula.value,
         params={"a": a, "chain": sets, "dims": dims},
-        notes="" if min(sizes) == formula else
+        notes="" if min(sizes) == formula.value else
         "closed form exceeds this construction's minimum at this (n, l)",
     )
 

@@ -72,6 +72,29 @@ def stats_rows(coloring: Coloring) -> list[dict]:
     return rows
 
 
+_REQUIRED = object()
+
+
+def _field(obj: dict, where: str, key: str, default=_REQUIRED):
+    """obj[key], or default when it is absent or null; a ValueError names
+    where and the field when a required one is missing."""
+    value = obj.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ValueError(f"{where} needs field {key!r}")
+        return default
+    return value
+
+
+def _int_field(obj: dict, where: str, key: str, default=_REQUIRED):
+    """_field as an integer (None stays None)."""
+    value = _field(obj, where, key, default)
+    try:
+        return None if value is None else int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: field {key!r} must be an integer, got {value!r}") from None
+
+
 def run_experiment(spec_file, outdir=None) -> dict:
     """Execute the JSON pipeline in spec_file and write its outputs plus a
     manifest under outdir.  Steps:
@@ -88,11 +111,11 @@ def run_experiment(spec_file, outdir=None) -> dict:
     if not spec_path.is_file():
         raise FileNotFoundError(f"experiment spec {spec_path} does not exist")
     spec = json.loads(spec_path.read_text(encoding="utf-8"))
-    steps = spec.get("pipeline")
+    steps = spec.get("pipeline") if isinstance(spec, dict) else None
     if not isinstance(steps, list) or not steps:
         raise ValueError("experiment spec needs a nonempty 'pipeline' list")
     out_base = Path(outdir) if outdir else Path(spec.get("outdir", spec_path.stem + "_out"))
-    seed = int(spec.get("seed", 0))
+    seed = _int_field(spec, "experiment spec", "seed", 0)
 
     staged: dict[str, str] = {}
     colorings: dict[str, Coloring] = {}
@@ -107,12 +130,16 @@ def run_experiment(spec_file, outdir=None) -> dict:
         return Coloring.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
 
     for idx, step in enumerate(steps):
+        if not isinstance(step, dict):
+            raise ValueError(f"pipeline step {idx} is not a JSON object")
         op = step.get("op")
+        where = f"pipeline step {idx} ({op})"
         entry = {"index": idx, "op": op}
         if op == "construct":
+            kind = _field(step, where, "type")
             report = build_construction(
-                step["type"], int(step["n"]), l=step.get("l") and int(step["l"]),
-                k=step.get("k") and int(step["k"]), seed=int(step.get("seed", seed)),
+                kind, _int_field(step, where, "n"), l=_int_field(step, where, "l", None),
+                k=_int_field(step, where, "k", None), seed=_int_field(step, where, "seed", seed),
                 total=bool(step.get("total", False)),
                 variant=step.get("variant", "three_color"),
                 materialize=bool(step.get("materialize", True)))
@@ -120,25 +147,27 @@ def run_experiment(spec_file, outdir=None) -> dict:
             staged[name] = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
             if report.coloring is not None:
                 colorings[name] = report.coloring
-            entry.update(type=step["type"], out=name, min_size=report.min_size)
+            entry.update(type=kind, out=name, min_size=report.min_size)
         elif op == "validate":
-            col = load_coloring(step["coloring"])
-            fam = PosetFamily.from_spec(step["forbid"], step.get("mode", "induced"))
+            ref, forbid = _field(step, where, "coloring"), _field(step, where, "forbid")
+            col = load_coloring(ref)
+            fam = PosetFamily.from_spec(forbid, step.get("mode", "induced"))
             witness = validate(col, fam)
-            entry.update(coloring=step["coloring"], forbid=step["forbid"],
+            entry.update(coloring=ref, forbid=forbid,
                          verdict="ok" if witness is None else "rainbow",
                          witness=list(witness.sets) if witness else None)
             if witness is not None and not step.get("allow_invalid", False):
                 raise ValueError(f"validate step {idx} found a rainbow copy: {witness.sets}")
         elif op == "stats":
-            col = load_coloring(step["coloring"])
+            ref = _field(step, where, "coloring")
+            col = load_coloring(ref)
             name = step.get("out", f"stats_{idx}.csv")
             staged[name] = _rows_to_csv(stats_rows(col))
-            entry.update(coloring=step["coloring"], out=name)
+            entry.update(coloring=ref, out=name)
         elif op == "congen_trials":
-            rows = congen_trial_rows(int(step["n"]), int(step["k"]), int(step["l"]),
-                                     int(step.get("trials", 100)),
-                                     int(step.get("seed", seed)))
+            rows = congen_trial_rows(*(_int_field(step, where, key) for key in ("n", "k", "l")),
+                                     _int_field(step, where, "trials", 100),
+                                     _int_field(step, where, "seed", seed))
             name = step.get("out", f"trials_{idx}.csv")
             staged[name] = _rows_to_csv(rows)
             entry.update(out=name, trials=len(rows),

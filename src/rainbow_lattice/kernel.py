@@ -260,12 +260,14 @@ class RainbowKernel:
         supersets have larger ids, so pos can then only be the image of a
         maximal element, and the others need not be tried.
         """
-        for k in self.antichain_sizes:
-            if self._rainbow_antichain_with(pos, k):
-                return True
+        base = self.assign[pos]
+        if self.antichain_sizes:
+            others = [m for c, m in enumerate(self.color_mask) if c != base]
+            for k in self.antichain_sizes:
+                if self._antichain(others, (pos,), pos, k):
+                    return True
         if not self.plans:
             return False
-        base = self.assign[pos]
         free = 0
         for c in range(1, self.l + 1):
             if c != base:
@@ -291,19 +293,7 @@ class RainbowKernel:
         above = -1 << (x + 1)
         others = [m & above for c, m in enumerate(self.color_mask) if c not in colors]
         if poset.is_antichain():
-            need = poset.size - len(req)
-            if not self.induced:
-                return sum(1 for m in others if m) >= need
-            inc = -1
-            for s in req:
-                if not inc >> s & 1:  # s is comparable to a required set
-                    return False
-                inc &= self.incomp[s]
-            if not need:
-                return True
-            cut = [m for cm in others if (m := cm & inc)]
-            # the masks lie in incomp[x], so x is reached iff a clique exists
-            return bool(antichain_reach(cut, need, 1 << x, self.incomp))
+            return self._antichain(others, req, x, poset.size)
         need = 0
         for s in req:
             if s != x:
@@ -342,19 +332,25 @@ class RainbowKernel:
             cand ^= low
         return False
 
-    def _rainbow_antichain_with(self, pos: int, k: int) -> bool:
-        """A rainbow antichain of size k through pos: one set from each of
-        k-1 other colors, pairwise incomparable and incomparable to pos
-        (induced), or any k-1 other colors in use (weak)."""
-        if k == 1:
-            return True
+    def _antichain(self, others: list[int], required, x: int, size: int) -> bool:
+        """A rainbow antichain of size elements made of the sets of required
+        (x among them) and one set from each of size - len(required) masks
+        of others, the available sets of the colors not in required:
+        pairwise incomparable (induced), or any that many nonempty masks
+        (weak)."""
+        need = size - len(required)
         if not self.induced:
-            base = self.assign[pos]
-            return sum(1 for c, m in enumerate(self.color_mask) if m and c != base) >= k - 1
-        # dropping pos's own color from inc empties its mask; color 0 has none
-        inc = self.incomp[pos] & ~self.color_mask[self.assign[pos]]
-        masks = [m for cm in self.color_mask if (m := cm & inc)]
-        return bool(antichain_reach(masks, k - 1, 1 << pos, self.incomp))
+            return sum(1 for m in others if m) >= need
+        inc = -1
+        for s in required:
+            if not inc >> s & 1:  # s is comparable to a required set
+                return False
+            inc &= self.incomp[s]
+        if not need:
+            return True
+        cut = [m for cm in others if (m := cm & inc)]
+        # the masks lie in incomp[x], so x is reached iff a clique exists
+        return bool(antichain_reach(cut, need, 1 << x, self.incomp))
 
 
 def antichain_reach(masks: list[int], need: int, target: int, incomp) -> int:

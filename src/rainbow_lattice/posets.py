@@ -104,9 +104,6 @@ class Poset:
     def is_isomorphic_to(self, other: "Poset") -> bool:
         return self.size == other.size and self.canonical_form() == other.canonical_form()
 
-    def relation_list(self) -> list[list[int]]:
-        return [list(p) for p in sorted(self.less)]
-
     def __eq__(self, other):
         return isinstance(other, Poset) and self.size == other.size and self.less == other.less
 

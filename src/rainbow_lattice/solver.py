@@ -25,7 +25,7 @@ from .constructions import (chain_interval_coloring, incomparable_traces,
 from .kernel import antichain_reach, complete, completion_plans, mask_tables
 from .lattice import (CANONICAL_CAP, all_subset_permutation_tables, check_dimension,
                       comparable, full_set, is_subset, submasks_ascending)
-from .posets import Poset, antichain, chain, diamond, vee, wedge
+from .posets import ISO_CAP, Poset, antichain, chain, diamond, vee, wedge
 
 
 class BudgetExceeded(Exception):
@@ -89,14 +89,12 @@ class _MaxMinSearch:
         self.count_prunes = self.hall_prunes = self.sym_prunes = 0
         self.sym = bool(sym)
         # waiting[w]: (inv, t) for a permutation whose image of the prefix
-        # equals it before position t; inv[t] is the set the image puts at t
+        # equals it before position t; inv[t] is the set the image puts at t.
+        # The tables are used as the inverses: the list is closed under
+        # inversion, and the prune test does not depend on queue order.
         self.waiting = [[] for _ in range(self.size)]
         if self.sym:
-            for table in all_subset_permutation_tables(n)[1:]:
-                inv = [0] * self.size
-                for s, img in enumerate(table):
-                    inv[img] = s
-                self.waiting[0].append((inv, 0))
+            self.waiting[0] = [(inv, 0) for inv in all_subset_permutation_tables(n)[1:]]
         self.assign = [0] * self.size
         self.counts = [0] * (l + 1)
         self.color_mask = [0] * (l + 1)  # the placed sets of each color; [0] stays 0
@@ -264,7 +262,7 @@ def _equal_split_coloring(n: int, l: int, kind: str) -> Coloring:
 
 
 def _iso(p: Poset, q: Poset) -> bool:
-    return p.size == q.size and p.size <= 8 and p.is_isomorphic_to(q)
+    return p.size == q.size and p.size <= ISO_CAP and p.is_isomorphic_to(q)
 
 
 def _construction_seed(n: int, l: int, forbidden: PosetFamily, kind: str):
@@ -292,7 +290,7 @@ def _construction_seed(n: int, l: int, forbidden: PosetFamily, kind: str):
     if induced and l == 3 and kind == "partial" and len(mems) == 3:
         shapes = {chain(3).canonical_form(), vee(2).canonical_form(),
                   wedge(2).canonical_form()}
-        if all(p.size <= 8 for p in mems) and {p.canonical_form() for p in mems} == shapes:
+        if all(p.size <= ISO_CAP for p in mems) and {p.canonical_form() for p in mems} == shapes:
             attempt(lift3_coloring, n, "three_color")
     attempt(incomparable_traces, n, l, False, forbidden)
     if kind == "total":
@@ -371,19 +369,15 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
               "symmetry": search.sym_prunes}
     if search.best is not None:
         witness, source = Coloring(n, l, search.best), "search"
+    # a pass cut short proves nothing above its incumbent; with no witness
+    # lo is -1, and a finished pass proves no valid coloring exists
+    status, hi = ("optimal", lo) if finished else ("lower_bound_only", upper)
     if witness is None:
         if finished:
-            return SolveResult(-1, -1, None, "optimal", search.nodes, cap, "infeasible",
-                               prunes)
-        return SolveResult(-1, upper, None, "lower_bound_only", search.nodes, cap, source,
-                           prunes)
-    # a pass cut short proves nothing above its incumbent
-    status, hi = ("optimal", lo) if finished else ("lower_bound_only", upper)
-
-    stats = class_stats(witness)
-    if stats.min_size < lo or has_rainbow(witness, forbidden):
+            source = "infeasible"
+    elif class_stats(witness).min_size < lo or has_rainbow(witness, forbidden):
         raise AssertionError("internal error: unsound witness")
-    if kind == "total" and not witness.is_total():
+    elif kind == "total" and not witness.is_total():
         raise AssertionError("internal error: partial witness for a total solve")
     return SolveResult(lo, hi, witness, status, search.nodes, cap, source, prunes)
 

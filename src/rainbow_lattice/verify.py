@@ -82,14 +82,15 @@ def _sub_seed(seed: int, label: str) -> int:
 
 
 def random_valid_coloring(n: int, l: int, forbidden: PosetFamily,
-                          rng: random.Random, tries_per_set: int = 2) -> Coloring:
-    """Greedy randomized valid coloring: visit sets in random order and keep a
-    random color only when it creates no rainbow copy."""
+                          rng: random.Random) -> Coloring:
+    """Greedy randomized valid coloring: visit sets in random order, try up
+    to two random colors on each and keep the first that creates no rainbow
+    copy."""
     c = Coloring.empty(n, l)
     ids = list(range(1 << n))
     rng.shuffle(ids)
     for s in ids:
-        colors = rng.sample(range(1, l + 1), min(tries_per_set, l))
+        colors = rng.sample(range(1, l + 1), min(2, l))
         for col in colors:
             c.assign[s] = col
             if not has_rainbow(c, forbidden, containing=s):

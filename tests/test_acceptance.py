@@ -8,11 +8,9 @@ the closed forms; everything else is asserted at its stated tolerance.
 
 import random
 import time
-from fractions import Fraction
 from itertools import combinations
 
-from rainbow_lattice.bounds import (delta_sequence, eq_inequality_check, eq_sweep,
-                                    formula_A2, g_of_l, m_of_l, solve_c0)
+from rainbow_lattice.bounds import formula_A2, m_of_l, solve_c0
 from rainbow_lattice.coloring import Coloring, PosetFamily, class_stats, validate
 from rainbow_lattice.constructions import (chain_family_coloring, chain_interval_coloring,
                                            incomparable_traces, lift3_coloring,
@@ -21,7 +19,8 @@ from rainbow_lattice.constructions import (chain_family_coloring, chain_interval
 from rainbow_lattice.posets import build_poset, find_copy
 from rainbow_lattice.solver import (az_decompose, greedy_tuples_and_cover,
                                     solve_min_class)
-from rainbow_lattice.verify import (_congen_trend_claim,
+from rainbow_lattice.verify import (_congen_trend_claim, _delta_claim, _eq_sweep_claim,
+                                    _telescoping_claim,
                                     max_cross_sperner_product_exhaustive,
                                     random_cross_comparable_families,
                                     random_valid_coloring)
@@ -253,17 +252,12 @@ def test_c9_random_chain_construction():
 
 def test_c10_numeric():
     start = time.time()
-    problems = [("eq",) + v for v in eq_sweep(200)]
-    if not eq_inequality_check(2, 1)["holds"]:
-        problems.append(("eq-spot", 2, 1))
-    for l in range(2, 501):
-        if g_of_l(l) != Fraction(1, l * l):
-            problems.append(("telescoping", l))
-    for l in range(3, 201):
-        vals = delta_sequence(l)
-        if any(a.numerator * b.denominator <= b.numerator * a.denominator
-               for a, b in zip(vals, vals[1:])):
-            problems.append(("delta", l))
+    problems = []
+    # the numeric/* claims of the verify battery, each expecting () of problems
+    for claim in (_eq_sweep_claim, _telescoping_claim, _delta_claim):
+        expected, computed, _, _ = claim(ACCEPTANCE_SEED, False, None)
+        if expected != computed:
+            problems.append((claim.__name__, computed))
     scan = solve_c0(tol=1e-10)
     if any(r["residual"] >= 1e-10 for r in scan["roots"]):
         problems.append(("c0-residual", scan))

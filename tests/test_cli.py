@@ -178,6 +178,47 @@ def test_malformed_poset_object_exits_2(spec, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _write_json(path, data):
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("make_argv, field", [
+    (lambda d: ("detect", "--coloring", _write_json(d / "c.json", {"n": 2, "l": 2}),
+                "--forbid", "A2"), "'colors'"),
+    (lambda d: ("detect", "--coloring", _write_json(d / "c.json", [1, 2]),
+                "--forbid", "A2"), "coloring"),
+    (lambda d: ("detect", "--coloring",
+                _write_json(d / "c.json", {"n": 2, "l": "two", "colors": [0, 1, 1, 0]}),
+                "--forbid", "A2"), "'l'"),
+    (lambda d: ("detect", "--coloring",
+                _write_json(d / "c.json", {"n": 2.9, "l": 2, "colors": [0, 1, 1, 0]}),
+                "--forbid", "A2"), "'n'"),
+    (lambda d: ("detect", "--coloring",
+                _write_json(d / "c.json", {"n": 2, "l": 2, "colors": "0110"}),
+                "--forbid", "A2"), "'colors'"),
+    (lambda d: ("detect", "--family", "5", "--poset", "A2"), "--family"),
+    (lambda d: ("decompose", "--n", "3", "--families", "[1]"), "--families"),
+    (lambda d: ("run", _write_json(d / "spec.json",
+                                   {"pipeline": [{"op": "construct", "n": 4}]})), "'type'"),
+    (lambda d: ("run", _write_json(d / "spec.json",
+                                   {"pipeline": [{"op": "construct", "type": "p3",
+                                                  "n": "four"}]})), "'n'"),
+    (lambda d: ("run", _write_json(d / "spec.json", {"pipeline": [3]})), "step 0"),
+    (lambda d: ("run", _write_json(d / "spec.json",
+                                   {"seed": "x", "pipeline": [{"op": "stats"}]})), "'seed'"),
+], ids=["coloring-without-colors", "coloring-not-object", "coloring-bad-l", "coloring-float-n",
+        "coloring-string-colors", "family-not-list",
+        "families-not-lists", "step-without-type", "step-bad-n", "step-not-object",
+        "spec-bad-seed"])
+def test_malformed_json_input_exits_2_naming_the_field(make_argv, field, tmp_path, capsys):
+    assert run_cli(*make_argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and field in lines[0]
+    assert "Traceback" not in err
+
+
 def test_forbid_takes_explicit_objects(capsys):
     # commas inside an explicit object do not split the family
     assert run_cli("solve", "--n", "3", "--colors", "2",
