@@ -122,11 +122,7 @@ def _cmd_decompose(args) -> int:
     if not isinstance(raw, list) or not all(isinstance(fam, list) for fam in raw):
         raise ValueError("--families must be a JSON list of lists of subsets")
     families = [[parse_subset(v, args.n) for v in fam] for fam in raw]
-    try:
-        dec = az_decompose(args.n, families)
-    except ValueError as exc:
-        _emit({"error": str(exc)}, args)
-        return 2
+    dec = az_decompose(args.n, families)
     if dec is None:
         _emit({"found": False}, args)
         return 1

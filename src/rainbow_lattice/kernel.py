@@ -307,29 +307,63 @@ class RainbowKernel:
     def _extend(self, steps, k: int, imgs: list[int], free: int, need: int) -> bool:
         """Place steps[k:] given the images so far; `free` holds the
         available sets of the colors not used yet and `need` the required
-        sets not placed yet.  Ascending candidates.  The cones include
-        their apex, yet the relations stay strict: an image's color has
-        left `free`, so no image is placed twice."""
-        if k == len(steps):
-            return not need
-        if need and need.bit_count() > len(steps) - k:
-            return False
+        sets not placed yet.  Candidates x are taken one color class cm at
+        a time, ascending within it, and the next image takes from
+        free & ~cm.  The cones include their apex, yet the relations stay
+        strict: an image's color has left `free`, so no image is placed
+        twice.
+
+        When as many sets are required as images remain, only they are
+        candidates.  So with one step left any candidate completes a copy
+        (steps is never empty: a member here has two or more elements).
+        With two left the last image is not placed one by one: its cut by
+        the images before x, the next-to-last image, is built once, and x
+        completes a copy iff (cut & ~cm) & link[x] is nonempty, link being
+        the last step's table relative to x (no constraint when they are
+        unrelated, weak mode), and the required sets left after x are none
+        or that last image."""
+        if need:
+            if need.bit_count() > len(steps) - k:
+                return False
+            if need.bit_count() == len(steps) - k:  # every image left is required
+                free &= need
         cand = free
         for table, j in steps[k]:
             cand &= table[imgs[j]]
-        if not cand:
-            return False
-        assign, color_mask = self.assign, self.color_mask
-        while cand:
-            low = cand & -cand
-            x = low.bit_length() - 1
-            imgs.append(x)
-            # need is 0 outside copy_using: skip a big-int ~low per candidate
-            if self._extend(steps, k + 1, imgs, free & ~color_mask[assign[x]],
-                            need & ~low if need else 0):
-                return True
-            imgs.pop()
-            cand ^= low
+        if not cand or k + 1 == len(steps):
+            return bool(cand)
+        last = k + 2 == len(steps)
+        cut, link = free, None
+        if last:  # the last image's cut by the images before x, built once
+            for table, j in steps[k + 1]:
+                if j > k:  # the image x, which step k places
+                    link = table
+                else:
+                    cut &= table[imgs[j]]
+        for cm in self.color_mask:
+            m = cand & cm
+            if not m:
+                continue
+            rest = cut & ~cm
+            if not rest:
+                continue
+            while m:
+                low = m & -m
+                x = low.bit_length() - 1
+                # need is 0 outside copy_using: skip a big-int ~low per candidate
+                left = need & ~low if need else 0
+                if last:
+                    hit = rest if link is None else rest & link[x]
+                    if left:
+                        hit &= left
+                    if hit:
+                        return True
+                else:
+                    imgs.append(x)
+                    if self._extend(steps, k + 1, imgs, rest, left):
+                        return True
+                    imgs.pop()
+                m ^= low
         return False
 
     def _antichain(self, others: list[int], required, x: int, size: int) -> bool:

@@ -57,7 +57,11 @@ def test_decompose_command(capsys):
                    "--families", '[["{1}", "{2}"], [3]]') == 0
     out = json.loads(capsys.readouterr().out)
     assert out["found"] and out["chain"] == [0, 3, 7]
+    # a violated hypothesis is a usage error: one line on stderr, nothing on stdout
     assert run_cli("decompose", "--n", "3", "--families", '[[1], [2]]') == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_bounds_commands(capsys):

@@ -5,7 +5,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rainbow_lattice.kernel import (_TABLE_BITS, RainbowKernel, antichain_reach,
@@ -65,6 +65,93 @@ def test_kernel_family_is_any_member(coloring, specs, mode):
     kernel = RainbowKernel(n, l, [build_poset(s) for s in specs], mode, assign)
     want = any(oracle_has_rainbow(assign, _tuples(n, s, mode)) for s in specs)
     assert kernel.scan() == want
+
+
+@st.composite
+def copy_using_cases(draw):
+    n, l, assign = draw(partial_colorings())
+    spec = draw(st.sampled_from(SPECS))
+    mode = draw(st.sampled_from(("induced", "weak")))
+    colored = [s for s, v in enumerate(assign) if v]
+    assume(colored)
+    x = draw(st.sampled_from(colored))
+    # half the time the required sets come from a rainbow copy through x:
+    # its sets below x and some above, so that the answer is often yes
+    rainbow = [t for t in _tuples(n, spec, mode) if x in t and oracle_has_rainbow(assign, [t])]
+    if rainbow and draw(st.booleans()):
+        t = sorted(draw(st.sampled_from(rainbow)))
+        above = t[t.index(x) + 1:]
+        others = t[:t.index(x)]
+        if above:
+            others += draw(st.lists(st.sampled_from(above), max_size=2, unique=True))
+    else:
+        others = draw(st.lists(st.sampled_from(colored), max_size=2, unique=True))
+    return n, l, assign, spec, mode, x, [s for s in others if s != x][:2]
+
+
+@settings(max_examples=500, deadline=None)
+@given(copy_using_cases())
+# the one image left is the required set
+@example((2, 2, [1, 2, 0, 0], "P2", "induced", 0, [1]))
+# copies through x exist, but none holds every required set: one left for
+# the last image, and two left with two images to place
+@example((4, 4, [2, 1, 0, 4, 1, 2, 3, 0, 2, 3, 4, 2, 0, 2, 1, 3], "P3", "weak", 10, [5]))
+@example((4, 5, [0, 4, 2, 0, 0, 1, 0, 2, 0, 5, 5, 2, 3, 4, 5, 3], "W2", "induced", 12, [9, 11]))
+def test_copy_using_agrees_with_oracle(case):
+    # one step of the least-witness search: a rainbow copy holding x and the
+    # required sets, every other set above x; with zero to two required sets
+    # besides x the last image is tested with and without one still required
+    n, l, assign, spec, mode, x, others = case
+    poset = build_poset(spec)
+    kernel = RainbowKernel(n, l, [poset], mode, assign)
+    kernel.mark_all()
+    req = {x, *others}
+    tuples = [t for t in _tuples(n, spec, mode)
+              if req <= set(t) and all(s > x for s in set(t) - req)]
+    assert kernel.copy_using(poset, x, [x, *others]) == oracle_has_rainbow(assign, tuples)
+
+
+# seeded n = 5 colorings, about 40% of the sets colored; P2+A1 in weak mode
+# leaves the last image unrelated to the one before it.  The strings are the
+# results of the top-level _extend calls made by scan() and then through(s)
+# for every colored s, in call order, recorded from a search that placed
+# every image one by one.
+N5_CASES = {
+    (0, "D2", "induced", 4): "0000000000001000000000000000000000000100000100000100000001",
+    (0, "P3", "induced", 3): "00000000001000100000000000000000000001001",
+    (0, "V2", "induced", 3): "00000000000000000000100010000100000000000000000001",
+    (0, "W2", "induced", 3): "00000000001010101000010101000000011",
+    (0, "P2+A1", "weak", 3): "0000000000000011110111101001101",
+    (1, "D2", "induced", 4): "0000000000111010100000100000000010100010001",
+    (1, "P3", "induced", 3): "000011111010000000100000100101001",
+    (1, "V2", "induced", 3): "0000000000111110101110101010101",
+    (1, "W2", "induced", 3): "000010000101000100001010111011",
+    (1, "P2+A1", "weak", 3): "0000000011111111110101101",
+}
+
+
+@pytest.mark.parametrize("seed, spec, mode, l", N5_CASES)
+def test_n5_scan_and_through_match_oracle(seed, spec, mode, l, monkeypatch):
+    rng = random.Random(seed)
+    assign = [rng.randint(1, l) if rng.random() < 0.4 else 0 for _ in range(32)]
+    calls = []
+    extend = RainbowKernel._extend
+
+    def recording(self, steps, k, imgs, free, need):
+        found = extend(self, steps, k, imgs, free, need)
+        if k == 0:
+            calls.append("1" if found else "0")
+        return found
+
+    monkeypatch.setattr(RainbowKernel, "_extend", recording)
+    kernel = RainbowKernel(5, l, [build_poset(spec)], mode, assign)
+    tuples = _tuples(5, spec, mode)
+    assert kernel.scan() == oracle_has_rainbow(assign, tuples)
+    for s, c in enumerate(assign):
+        if c:
+            want = oracle_has_rainbow(assign, [t for t in tuples if s in t])
+            assert kernel.through(s) == want
+    assert "".join(calls) == N5_CASES[seed, spec, mode, l]
 
 
 @st.composite
