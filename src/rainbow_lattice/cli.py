@@ -12,7 +12,8 @@ from . import __version__
 from . import bounds as bounds_mod
 from .coloring import Coloring, PosetFamily, class_stats, validate
 from .constructions import chain_overlap_check, random_chain_family
-from .experiments import build_construction, congen_trial_rows, _rows_to_csv, run_experiment
+from .experiments import (CONSTRUCTIONS, build_construction, check_params, congen_trial_rows,
+                          _rows_to_csv, run_experiment)
 from .lattice import parse_subset
 from .posets import build_poset, find_copy
 from .solver import az_decompose, solve_min_class
@@ -56,28 +57,25 @@ def _family_arg(value: str):
     return [parse_subset(v) for v in raw]
 
 
-def _require(args, what: str, *flags: str) -> None:
-    """Name the first of flags left unset: main() exits 2 on the ValueError."""
-    for flag in flags:
-        if getattr(args, flag) is None:
-            raise ValueError(f"{what} needs --{flag}")
+def _flag(name: str) -> str:
+    return "--no-materialize" if name == "materialize" else f"--{name}"
 
 
-_CONSTRUCT_NEEDS = {"traces": ("l",), "chain": ("l",), "congen": ("k", "l"), "pk": ("k",)}
-_BOUNDS_NEEDS = {"m": ("l",), "formulaA2": ("n", "l"), "entropy": ("x",),
-                 "eq": ("l", "i"), "known": ("n", "l", "forbid")}
+def _set(args, *flags: str) -> dict:
+    """The flags given, so that each one left unset takes the library's default."""
+    return {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
 
 
-def _load_coloring(path: str) -> Coloring:
-    with open(path, encoding="utf-8") as fh:
-        return Coloring.from_json_dict(json.load(fh))
+# The flags each mode or op needs, and the ones it may also take; see check_params.
+_DETECT_FLAGS = {"coloring": (("coloring", "forbid"), ("mode",)),
+                 "family": (("family", "poset"), ("mode",))}
+_BOUNDS_FLAGS = {"m": (("l",), ()), "formulaA2": (("n", "l"), ()), "entropy": (("x",), ()),
+                 "c0": ((), ("tol",)), "eq": (("l", "i"), ()),
+                 "known": (("n", "l", "forbid"), ("kind",))}
 
 
 def _cmd_construct(args) -> int:
-    _require(args, f"construct --type {args.type}", *_CONSTRUCT_NEEDS.get(args.type, ()))
-    report = build_construction(args.type, args.n, l=args.l, k=args.k, seed=args.seed or 0,
-                                total=args.total, variant=args.variant,
-                                materialize=not args.no_materialize)
+    report = build_construction(args.type, args.n, vars(args), _flag)
     if args.report:
         rows = [{"class": i + 1, "size": s} for i, s in enumerate(report.class_sizes)]
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -88,8 +86,9 @@ def _cmd_construct(args) -> int:
 
 def _cmd_detect(args) -> int:
     if args.coloring is not None:
-        _require(args, "detect --coloring", "forbid")
-        col = _load_coloring(args.coloring)
+        check_params("detect --coloring", _DETECT_FLAGS, "coloring", vars(args), _flag)
+        with open(args.coloring, encoding="utf-8") as fh:
+            col = Coloring.from_json_dict(json.load(fh))
         fam = PosetFamily.from_spec(args.forbid, args.mode)
         witness = validate(col, fam)
         out = {"verdict": "ok" if witness is None else "rainbow"}
@@ -98,7 +97,7 @@ def _cmd_detect(args) -> int:
                        member=witness.poset.name or witness.member_index)
         _emit(out, args)
         return 0 if witness is None else 1
-    _require(args, "detect without --coloring", "family", "poset")
+    check_params("detect without --coloring", _DETECT_FLAGS, "family", vars(args), _flag)
     family = _family_arg(args.family)
     poset = build_poset(args.poset)
     emb = find_copy(family, poset, args.mode)
@@ -109,7 +108,7 @@ def _cmd_detect(args) -> int:
 
 def _cmd_solve(args) -> int:
     fam = PosetFamily.from_spec(args.forbid, args.mode)
-    res = solve_min_class(args.n, args.colors, fam, kind=args.kind, budget=args.budget)
+    res = solve_min_class(args.n, args.colors, fam, **_set(args, "kind", "budget"))
     out = res.to_json_dict()
     if res.witness is not None:
         out["witness_stats"] = list(class_stats(res.witness).sizes)
@@ -133,7 +132,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_bounds(args) -> int:
     op = args.op
-    _require(args, f"bounds --op {op}", *_BOUNDS_NEEDS.get(op, ()))
+    check_params(f"bounds --op {op}", _BOUNDS_FLAGS, op, vars(args), _flag)
     if op == "m":
         out = {"l": args.l, "m": bounds_mod.m_of_l(args.l)}
     elif op == "formulaA2":
@@ -143,24 +142,24 @@ def _cmd_bounds(args) -> int:
     elif op == "entropy":
         out = {"x": args.x, "h": bounds_mod.binary_entropy(args.x)}
     elif op == "c0":
-        out = bounds_mod.solve_c0(tol=args.tol)
+        out = bounds_mod.solve_c0(**_set(args, "tol"))
     elif op == "eq":
         res = bounds_mod.eq_inequality_check(args.l, args.i)
         out = {"l": args.l, "i": args.i, "lhs": str(res["lhs"]),
                "rhs": str(res["rhs"]), "holds": res["holds"]}
     elif op == "known":
-        fv = bounds_mod.known_value(args.n, args.l, args.forbid, args.kind)
+        fv = bounds_mod.known_value(args.n, args.l, args.forbid, **_set(args, "kind"))
         out = {"value": fv.value, "applicable": fv.applicable, "source": fv.source,
                "note": fv.condition_note, "caveat": fv.caveat}
-    else:
-        raise ValueError(f"unknown bounds op {op!r}")
     _emit(out, args)
     return 0
 
 
 def _cmd_congen(args) -> int:
+    if args.report is not None and not args.trials:
+        raise ValueError("congen without --trials does not read --report")
     if args.trials:
-        rows = congen_trial_rows(args.n, args.k, args.l, args.trials, args.seed or 0)
+        rows = congen_trial_rows(args.n, args.k, args.l, args.trials, args.seed)
         if args.report:
             with open(args.report, "w", encoding="utf-8") as fh:
                 fh.write(_rows_to_csv(rows))
@@ -168,7 +167,7 @@ def _cmd_congen(args) -> int:
         _emit({"trials": len(rows), "condition_pass_rate": rate,
                "min_class_sizes": [r["min_class_size"] for r in rows]}, args)
         return 0
-    cf = random_chain_family(args.n, args.k, args.l, args.seed or 0)
+    cf = random_chain_family(args.n, args.k, args.l, args.seed)
     out = cf.to_json_dict()
     out["overlap_check"] = chain_overlap_check(cf)
     _emit(out, args)
@@ -176,8 +175,7 @@ def _cmd_congen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seed = DEFAULT_SEED if args.seed is None else args.seed
-    report = verify_suite(profile=args.profile, seed=seed, budget=args.budget)
+    report = verify_suite(profile=args.profile, seed=args.seed, **_set(args, "budget"))
     if args.format == "text":
         _write(report.render_text(), args)
     else:
@@ -193,8 +191,6 @@ def _cmd_run(args) -> int:
 
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--budget", type=int, default=10 ** 9)
     common.add_argument("--out", default=None)
     common.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -204,15 +200,14 @@ def main(argv=None) -> int:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", parents=[common], help="generate a coloring")
-    p.add_argument("--type", required=True,
-                   choices=("traces", "chain", "congen", "lift3", "p3", "pk"))
+    p.add_argument("--type", required=True, choices=tuple(CONSTRUCTIONS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--total", action="store_true")
-    p.add_argument("--variant", default="three_color",
-                   choices=("three_color", "four_color"))
-    p.add_argument("--no-materialize", action="store_true")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--total", action="store_true", default=None)
+    p.add_argument("--variant", default=None, choices=("three_color", "four_color"))
+    p.add_argument("--no-materialize", dest="materialize", action="store_false", default=None)
     p.add_argument("--report", default=None, help="write class sizes CSV here")
     p.set_defaults(fn=_cmd_construct)
 
@@ -230,7 +225,8 @@ def main(argv=None) -> int:
     p.add_argument("--colors", type=int, required=True)
     p.add_argument("--forbid", required=True)
     p.add_argument("--mode", choices=("induced", "weak"), default="induced")
-    p.add_argument("--kind", choices=("partial", "total"), default="partial")
+    p.add_argument("--kind", choices=("partial", "total"), default=None)
+    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("decompose", parents=[common],
@@ -246,9 +242,9 @@ def main(argv=None) -> int:
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--i", type=int, default=None)
     p.add_argument("--x", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--forbid", default=None)
-    p.add_argument("--kind", choices=("partial", "total"), default="partial")
+    p.add_argument("--kind", choices=("partial", "total"), default=None)
     p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("congen", parents=[common],
@@ -256,12 +252,15 @@ def main(argv=None) -> int:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=0)
     p.add_argument("--report", default=None, help="write per-trial CSV here")
     p.set_defaults(fn=_cmd_congen)
 
     p = sub.add_parser("verify", parents=[common], help="run the claim battery")
     p.add_argument("--profile", choices=("quick", "full"), default="quick")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("run", parents=[common], help="run an experiment spec file")

@@ -221,7 +221,7 @@ def _best_witness(c: Coloring, forbidden: PosetFamily, must: int | None) -> Rain
         return None
     idx, sets = best
     p = forbidden.members[idx]
-    emb = embed_poset(p, mode, sets, labels=c.assign, required=sets, n=c.n)
+    emb = embed_poset(p, mode, sets)
     return RainbowWitness(idx, p, sets, emb, tuple(c.assign[s] for s in sets))
 
 

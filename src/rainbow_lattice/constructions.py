@@ -48,11 +48,6 @@ class ChainFamily:
         return {"n": self.n, "k": self.k, "l": self.l,
                 "chains": [list(ch) for ch in self.chains]}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ChainFamily":
-        return cls(int(data["n"]), int(data["k"]), int(data["l"]),
-                   tuple(tuple(int(x) for x in ch) for ch in data["chains"]))
-
 
 @dataclass
 class ConstructionReport:

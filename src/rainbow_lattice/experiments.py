@@ -21,24 +21,43 @@ from .constructions import (chain_family_coloring, chain_interval_coloring,
                             trial_seed)
 
 
-def build_construction(kind: str, n: int, l: int | None = None, k: int | None = None,
-                       seed: int = 0, total: bool = False, variant: str = "three_color",
-                       materialize: bool = True):
-    """Dispatch a generator by its CLI name."""
-    if kind == "traces":
-        return incomparable_traces(n, l, total=total)
-    if kind == "chain":
-        return chain_interval_coloring(n, l)
-    if kind == "congen":
-        cf = random_chain_family(n, k, l, seed)
-        return chain_family_coloring(cf, materialize=materialize)
-    if kind == "lift3":
-        return lift3_coloring(n, variant)
-    if kind == "p3":
-        return p3_total_coloring(n)
-    if kind == "pk":
-        return pk_coloring(n, k)
-    raise ValueError(f"unknown construction type {kind!r}")
+def _congen_coloring(n: int, k: int, l: int, seed: int = 0, **options):
+    return chain_family_coloring(random_chain_family(n, k, l, seed), **options)
+
+
+# Each construction type: its generator, the parameters it needs and those it
+# may also take.  Only the ones set are passed on, so each default is the generator's.
+CONSTRUCTIONS = {
+    "traces": (incomparable_traces, ("l",), ("total",)),
+    "chain": (chain_interval_coloring, ("l",), ()),
+    "congen": (_congen_coloring, ("k", "l"), ("seed", "materialize")),
+    "lift3": (lift3_coloring, (), ("variant",)),
+    "p3": (p3_total_coloring, (), ()),
+    "pk": (pk_coloring, ("k",), ()),
+}
+
+
+def check_params(what: str, table: dict, key: str, params: dict, spell=repr) -> dict:
+    """The params that key's row of table reads and that are set (not None).  A row
+    ends with the names it needs and those it may also take; a ValueError names, as
+    spell writes it, a needed one left unset or a set one only other rows read."""
+    *_, needs, takes = table[key]
+    given = {name: params[name] for name in needs + takes if params.get(name) is not None}
+    unread = [name for row in table.values() for name in row[-2] + row[-1]
+              if name not in given and params.get(name) is not None]
+    for verb, names in (("needs", [name for name in needs if name not in given]),
+                        ("does not read", unread)):
+        if names:
+            raise ValueError(f"{what} {verb} {spell(names[0])}")
+    return given
+
+
+def build_construction(kind: str, n: int, params: dict, spell=repr):
+    """Run the generator of a construction type on the params set; see check_params."""
+    if kind not in CONSTRUCTIONS:
+        raise ValueError(f"unknown construction type {kind!r}")
+    given = check_params(f"construction type {kind!r}", CONSTRUCTIONS, kind, params, spell)
+    return CONSTRUCTIONS[kind][0](n, **given)
 
 
 def congen_trial_rows(n: int, k: int, l: int, trials: int, seed: int) -> list[dict]:
@@ -137,12 +156,11 @@ def run_experiment(spec_file, outdir=None) -> dict:
         entry = {"index": idx, "op": op}
         if op == "construct":
             kind = _field(step, where, "type")
-            report = build_construction(
-                kind, _int_field(step, where, "n"), l=_int_field(step, where, "l", None),
-                k=_int_field(step, where, "k", None), seed=_int_field(step, where, "seed", seed),
-                total=bool(step.get("total", False)),
-                variant=step.get("variant", "three_color"),
-                materialize=bool(step.get("materialize", True)))
+            ints = {name: _int_field(step, where, name, None) for name in ("l", "k", "seed")}
+            if ints["seed"] is None and "seed" in CONSTRUCTIONS.get(kind, (None, (), ()))[2]:
+                ints["seed"] = seed
+            report = build_construction(kind, _int_field(step, where, "n"), {**step, **ints},
+                                        lambda name: f"field {name!r}")
             name = step.get("out", f"construct_{idx}.json")
             staged[name] = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
             if report.coloring is not None:

@@ -1,6 +1,7 @@
 """Command-line surface and the experiment pipeline runner."""
 
 import json
+import re
 
 import pytest
 
@@ -172,6 +173,97 @@ def test_missing_argument_exits_2_naming_the_flag(argv, flag, capsys):
     assert err.startswith("error: ") and flag in err and "Traceback" not in err
 
 
+# Invocations that read every flag they are given, and for each one the flags
+# the command accepts but that this invocation, its --type, --op or detect
+# mode does not read.  Giving any of those must exit 2 and name it.
+_READS_ALL = {
+    "construct traces": ("construct", "--type", "traces", "--n", "6", "--l", "3", "--total"),
+    "construct chain": ("construct", "--type", "chain", "--n", "6", "--l", "3"),
+    "construct congen": ("construct", "--type", "congen", "--n", "6", "--k", "3", "--l", "2",
+                         "--seed", "1", "--no-materialize"),
+    "construct lift3": ("construct", "--type", "lift3", "--n", "5", "--variant", "four_color"),
+    "construct p3": ("construct", "--type", "p3", "--n", "4"),
+    "construct pk": ("construct", "--type", "pk", "--n", "4", "--k", "4"),
+    "detect coloring": ("detect", "--coloring", "c.json", "--forbid", "A2", "--mode", "weak"),
+    "detect family": ("detect", "--family", "[0, 1, 3]", "--poset", "P3", "--mode", "weak"),
+    "solve": ("solve", "--n", "2", "--colors", "2", "--forbid", "A2", "--kind", "total",
+              "--budget", "100"),
+    "decompose": ("decompose", "--n", "3", "--families", '[["{1}", "{2}"], [3]]'),
+    "bounds m": ("bounds", "--op", "m", "--l", "6"),
+    "bounds formulaA2": ("bounds", "--op", "formulaA2", "--n", "4", "--l", "2"),
+    "bounds entropy": ("bounds", "--op", "entropy", "--x", "0.25"),
+    "bounds c0": ("bounds", "--op", "c0", "--tol", "1e-6"),
+    "bounds eq": ("bounds", "--op", "eq", "--l", "2", "--i", "1"),
+    "bounds known": ("bounds", "--op", "known", "--n", "5", "--l", "2", "--forbid", "A2",
+                     "--kind", "total"),
+    "congen": ("congen", "--n", "6", "--k", "3", "--l", "2", "--seed", "1"),
+    "run": ("run", "spec.json", "--out", "res"),
+}
+_UNREAD = {
+    "construct traces": ("--k", "--seed", "--variant", "--no-materialize"),
+    "construct chain": ("--k", "--seed", "--total", "--variant", "--no-materialize"),
+    "construct congen": ("--total", "--variant"),
+    "construct lift3": ("--l", "--k", "--seed", "--total", "--no-materialize"),
+    "construct p3": ("--l", "--k", "--seed", "--total", "--variant", "--no-materialize",
+                     "--budget"),
+    "construct pk": ("--l", "--seed", "--total", "--variant", "--no-materialize"),
+    "detect coloring": ("--family", "--poset", "--seed", "--budget"),
+    "detect family": ("--forbid",),
+    "solve": ("--seed",),
+    "decompose": ("--seed", "--budget"),
+    "bounds m": ("--n", "--i", "--x", "--tol", "--forbid", "--kind", "--seed", "--budget"),
+    "bounds formulaA2": ("--i", "--x", "--tol", "--forbid", "--kind"),
+    "bounds entropy": ("--n", "--l", "--i", "--tol", "--forbid", "--kind"),
+    "bounds c0": ("--n", "--l", "--i", "--x", "--forbid", "--kind"),
+    "bounds eq": ("--n", "--x", "--tol", "--forbid", "--kind"),
+    "bounds known": ("--i", "--x", "--tol"),
+    "congen": ("--report", "--budget"),
+    "run": ("--seed", "--budget"),
+}
+_FLAG_VALUES = {"--n": "4", "--l": "3", "--k": "3", "--i": "1", "--x": "0.5", "--tol": "1e-6",
+                "--seed": "3", "--budget": "5", "--variant": "four_color", "--forbid": "A2",
+                "--kind": "total", "--family": "[0, 1]", "--poset": "A2", "--report": "r.csv"}
+_UNREAD_CASES = [(name, flag) for name, flags in _UNREAD.items() for flag in flags]
+
+
+@pytest.fixture
+def cli_inputs(tmp_path, monkeypatch):
+    """A valid coloring c.json and a one-step spec.json in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    _write_json(tmp_path / "c.json", {"n": 2, "l": 2, "colors": [0, 1, 1, 0]})
+    _write_json(tmp_path / "spec.json",
+                {"pipeline": [{"op": "construct", "type": "p3", "n": 4}]})
+
+
+def _exit_code(argv):
+    try:
+        return main(list(argv))
+    except SystemExit as exc:  # argparse rejects flags a subcommand does not declare
+        return exc.code
+
+
+def test_unread_flag_table_covers_every_case():
+    assert len(_UNREAD_CASES) == 73
+    assert not any(flag in _READS_ALL[name] for name, flag in _UNREAD_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(_READS_ALL))
+def test_invocation_reading_all_its_flags_succeeds(name, cli_inputs, capsys):
+    assert _exit_code(_READS_ALL[name]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name, flag", _UNREAD_CASES,
+                         ids=[f"{name} {flag}" for name, flag in _UNREAD_CASES])
+def test_unread_flag_exits_2_naming_it(name, flag, cli_inputs, capsys):
+    value = (_FLAG_VALUES[flag],) if flag in _FLAG_VALUES else ()
+    assert _exit_code(_READS_ALL[name] + (flag,) + value) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and re.search(re.escape(flag) + r"(?![\w-])", errors[0]), errors
+
+
 @pytest.mark.parametrize("spec", [
     '{"relations": []}', '{"size": 2, "relations": [[0, "1"]]}', '{"size": 2, "relations": 5}'])
 def test_malformed_poset_object_exits_2(spec, capsys):
@@ -208,12 +300,19 @@ def _write_json(path, data):
     (lambda d: ("run", _write_json(d / "spec.json",
                                    {"pipeline": [{"op": "construct", "type": "p3",
                                                   "n": "four"}]})), "'n'"),
+    (lambda d: ("run", _write_json(d / "spec.json",
+                                   {"pipeline": [{"op": "construct", "type": "traces",
+                                                  "n": 4}]})), "'l'"),
+    (lambda d: ("run", _write_json(d / "spec.json",
+                                   {"pipeline": [{"op": "construct", "type": "lift3",
+                                                  "n": 5, "l": 5}]})), "'l'"),
     (lambda d: ("run", _write_json(d / "spec.json", {"pipeline": [3]})), "step 0"),
     (lambda d: ("run", _write_json(d / "spec.json",
                                    {"seed": "x", "pipeline": [{"op": "stats"}]})), "'seed'"),
 ], ids=["coloring-without-colors", "coloring-not-object", "coloring-bad-l", "coloring-float-n",
         "coloring-string-colors", "family-not-list",
-        "families-not-lists", "step-without-type", "step-bad-n", "step-not-object",
+        "families-not-lists", "step-without-type", "step-bad-n", "traces-step-without-l",
+        "lift3-step-with-l", "step-not-object",
         "spec-bad-seed"])
 def test_malformed_json_input_exits_2_naming_the_field(make_argv, field, tmp_path, capsys):
     assert run_cli(*make_argv(tmp_path)) == 2
