@@ -159,7 +159,7 @@ def _cmd_congen(args) -> int:
     if args.report is not None and not args.trials:
         raise ValueError("congen without --trials does not read --report")
     if args.trials:
-        rows = congen_trial_rows(args.n, args.k, args.l, args.trials, args.seed)
+        rows = congen_trial_rows(args.n, args.k, args.l, args.trials, args.seed, _flag)
         if args.report:
             with open(args.report, "w", encoding="utf-8") as fh:
                 fh.write(_rows_to_csv(rows))

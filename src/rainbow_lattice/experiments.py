@@ -60,9 +60,13 @@ def build_construction(kind: str, n: int, params: dict, spell=repr):
     return CONSTRUCTIONS[kind][0](n, **given)
 
 
-def congen_trial_rows(n: int, k: int, l: int, trials: int, seed: int) -> list[dict]:
+def congen_trial_rows(n: int, k: int, l: int, trials: int, seed: int,
+                      spell=repr) -> list[dict]:
     """One row per seeded trial: overlap-condition verdict plus the exact
-    (analytic) minimum class size of the resulting coloring."""
+    (analytic) minimum class size of the resulting coloring.  A ValueError
+    names the trial count, as spell writes it, when it is below 1."""
+    if trials < 1:
+        raise ValueError(f"{spell('trials')} must be at least 1, got {trials}")
     rows = []
     for t in range(trials):
         s = trial_seed(seed, t)
@@ -108,10 +112,9 @@ def _field(obj: dict, where: str, key: str, default=_REQUIRED):
 def _int_field(obj: dict, where: str, key: str, default=_REQUIRED):
     """_field as an integer (None stays None)."""
     value = _field(obj, where, key, default)
-    try:
-        return None if value is None else int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{where}: field {key!r} must be an integer, got {value!r}") from None
+    if value is not None and type(value) is not int:  # bool is an int subclass, a float truncates
+        raise ValueError(f"{where}: field {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def run_experiment(spec_file, outdir=None) -> dict:
@@ -185,7 +188,8 @@ def run_experiment(spec_file, outdir=None) -> dict:
         elif op == "congen_trials":
             rows = congen_trial_rows(*(_int_field(step, where, key) for key in ("n", "k", "l")),
                                      _int_field(step, where, "trials", 100),
-                                     _int_field(step, where, "seed", seed))
+                                     _int_field(step, where, "seed", seed),
+                                     lambda name: f"{where}: field {name!r}")
             name = step.get("out", f"trials_{idx}.csv")
             staged[name] = _rows_to_csv(rows)
             entry.update(out=name, trials=len(rows),

@@ -9,9 +9,14 @@ check at every depth.  Every forbidden member is forward-checked: each
 color keeps a domain mask of the sets it may still take, so a color that
 would complete a rainbow copy is never tried and no copy search is needed,
 and the pass backs up once some color can no longer reach m, alone or, by
-Hall's condition, together with other short colors.
-The pass starts one above the best construction's value and raises m past
-each valid assignment it meets, so refuting the last m is the whole proof.
+Hall's condition, together with other short colors.  A partial pass never
+gives a color more than m sets: the least valid assignment with every class
+>= m has every class exactly m.
+The pass starts one above the best seed's value and raises m past each
+valid assignment it meets, so refuting the last m is the whole proof.  The
+seeds are the constructions' colorings and, for frontier instances, the
+search's own least witnesses checked in as WITNESSES, which leave only
+opt + 1 to refute.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .constructions import (chain_interval_coloring, incomparable_traces,
 from .kernel import antichain_reach, complete, completion_plans, mask_tables
 from .lattice import (CANONICAL_CAP, all_subset_permutation_tables, check_dimension,
                       comparable, full_set, is_subset, submasks_ascending)
-from .posets import ISO_CAP, Poset, antichain, chain, diamond, vee, wedge
+from .posets import ISO_CAP, Poset, antichain, build_poset, chain, diamond, vee, wedge
 
 
 class BudgetExceeded(Exception):
@@ -77,7 +82,18 @@ class _MaxMinSearch:
     maps it above.  The least valid assignment at any bound is the least
     of its orbit, so neither prune changes the value or the witness.
     The prunes by reason are counted in `count_prunes`, `hall_prunes` and
-    `sym_prunes`."""
+    `sym_prunes`.
+
+    A partial pass skips color c wherever counts[c] >= m, reading the
+    current m, which a child may have raised.  This moves only the node and
+    prune counts.  Uncoloring a colored set gives a lexicographically
+    smaller assignment that is still valid, so the least valid assignment
+    with every class >= m has every class exactly m, and the capped pass
+    still reaches it; each incumbent is that least assignment for the m of
+    its time, and the next one lies later in lexicographic order.  The set
+    of such assignments is closed under element and color permutations, so
+    neither the lex-leader prune nor first-use symmetry removes its least
+    member.  Total passes cannot uncolor, so they take no cap."""
 
     def __init__(self, n, l, members, mode, partial, budget, sym, cap):
         self.size = 1 << n
@@ -225,11 +241,12 @@ class _MaxMinSearch:
         if self.partial:
             if self._dfs(pos + 1, used):
                 return True
-        assign, color_mask = self.assign, self.color_mask
+        assign, color_mask, partial = self.assign, self.color_mask, self.partial
         top = used + 1 if used < self.l else self.l
         bit = 1 << pos
         for c in range(1, top + 1):
-            if not allowed[c] & bit:
+            # self.m, not m: a child may have raised the bound
+            if not allowed[c] & bit or partial and counts[c] >= self.m:
                 continue
             assign[pos] = c
             counts[c] += 1
@@ -265,17 +282,36 @@ def _iso(p: Poset, q: Poset) -> bool:
     return p.size == q.size and p.size <= ISO_CAP and p.is_isomorphic_to(q)
 
 
+# (n, colors, induced one-member spec, kind) -> (value, the search's own least
+# witness at that optimum, as an unseeded solve finds it).  Seeded with one,
+# a solve has only opt + 1 left to refute.
+WITNESSES = {
+    (5, 3, "A3", "partial"): (7, (1, 0, 1, 0, 1, 0, 2, 0, 1, 0, 2, 0, 2, 0, 2, 3,
+                                  1, 0, 2, 0, 2, 0, 3, 3, 2, 0, 3, 3, 3, 3, 1, 1)),
+    (5, 4, "A4", "partial"): (7, (0, 1, 1, 0, 1, 0, 0, 2, 1, 2, 2, 2, 2, 2, 2, 3,
+                                  3, 1, 1, 4, 1, 4, 4, 3, 4, 4, 4, 3, 4, 3, 3, 3)),
+    (5, 4, "A4", "total"): (7, (1, 1, 1, 2, 1, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 3,
+                                3, 1, 1, 2, 4, 4, 4, 3, 4, 4, 4, 3, 4, 3, 3, 3)),
+}
+
+
+def instance_label(n: int, l: int, spec: str, kind: str) -> str:
+    return f"{'F' if kind == 'total' else 'f'}({n},{l},{spec.replace(',', '+')})"
+
+
 def _construction_seed(n: int, l: int, forbidden: PosetFamily, kind: str):
-    """Best valid lower-bound witness any generator provides, or None."""
+    """Best valid lower-bound witness any generator or WITNESSES entry
+    provides, or None."""
     mems = forbidden.members
     induced = forbidden.mode == "induced"
     candidates = []
 
     def attempt(fn, *args, **kwargs):
         try:
-            candidates.append(fn(*args, **kwargs))
+            report = fn(*args, **kwargs)
         except ValueError:
-            pass
+            return
+        candidates.append((report.coloring, f"construction:{report.name}"))
 
     if induced and kind == "partial" and all(p.is_antichain() and p.size >= 2 for p in mems):
         attempt(chain_interval_coloring, n, l)
@@ -295,10 +331,14 @@ def _construction_seed(n: int, l: int, forbidden: PosetFamily, kind: str):
     attempt(incomparable_traces, n, l, False, forbidden)
     if kind == "total":
         attempt(incomparable_traces, n, l, True, forbidden)
+    for (wn, wl, spec, wkind), (_, assign) in WITNESSES.items():
+        if (wn, wl, wkind) == (n, l, kind) and induced and len(mems) == 1 and _iso(
+                mems[0], build_poset(spec)):
+            candidates.append((Coloring(n, l, list(assign)),
+                               f"witness:{instance_label(n, l, spec, kind)}"))
 
     best = None
-    for report in candidates:
-        col = report.coloring
+    for col, source in candidates:
         if col is None or col.l != l:
             continue
         if kind == "total" and not col.is_total():
@@ -307,7 +347,7 @@ def _construction_seed(n: int, l: int, forbidden: PosetFamily, kind: str):
             continue
         value = class_stats(col).min_size
         if best is None or value > best[0]:
-            best = (value, col, f"construction:{report.name}")
+            best = (value, col, source)
     return best
 
 
@@ -325,7 +365,8 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
     is that root bound, since a pass cut short proves nothing above its
     incumbent.  Witnesses found by search are the lexicographically least
     valid assignment at the optimum; a witness taken straight from a
-    construction is reported via seed_source.
+    construction or from WITNESSES is reported via seed_source, and
+    use_construction_seed=False turns both seeds off.
     The search forward-checks rainbow copies with the kernel's cone masks
     at every n.
     """

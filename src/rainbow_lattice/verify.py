@@ -23,7 +23,8 @@ from .constructions import (chain_family_coloring, chain_interval_coloring,
                             trial_seed)
 from .kernel import mask_tables
 from .lattice import Interval, interval_members
-from .solver import az_decompose, cross_sperner_check, greedy_tuples_and_cover, solve_min_class
+from .solver import (WITNESSES, az_decompose, cross_sperner_check, greedy_tuples_and_cover,
+                     instance_label, solve_min_class)
 
 
 @dataclass
@@ -247,6 +248,20 @@ def _flagged_small_A2_claim(n):
     return run
 
 
+def _witness_table_claim(seed, full, budget):
+    """Each solver.WITNESSES entry, replayed: its value where the coloring
+    has no rainbow copy (and no uncolored set for a total entry), else
+    "invalid"."""
+    want, got = {}, {}
+    for (n, l, spec, kind), (value, assign) in WITNESSES.items():
+        label = instance_label(n, l, spec, kind)
+        col = Coloring(n, l, list(assign))
+        ok = validate(col, PosetFamily.from_spec(spec)) is None and (
+            kind == "partial" or col.is_total())
+        want[label], got[label] = value, class_stats(col).min_size if ok else "invalid"
+    return want, got, None, ""
+
+
 def _traces_claim(seed, full, budget):
     results = []
     expect = []
@@ -437,7 +452,7 @@ def _solver_claim(n, l, spec, kind="partial", full_only=False, value=None, sourc
     if value is None:
         known = _KV(n, l, spec, kind)
         value, source = known.value, known.source
-    name = f"solve/{'F' if kind == 'total' else 'f'}({n},{l},{spec.replace(',', '+')})"
+    name = f"solve/{instance_label(n, l, spec, kind)}"
 
     def run(seed, full, budget):
         fam = PosetFamily.from_spec(spec)
@@ -476,6 +491,8 @@ _CLAIMS: list[_ClaimSpec] = [
     _solver_claim(5, 2, "P2"),
     _solver_claim(5, 3, "A3", full_only=True, value=7, source=_ORBIT_HALL),
     _solver_claim(5, 3, "P3", full_only=True, value=8, source=_ORBIT_HALL),
+    _ClaimSpec("solve/witness-table", "the search's least witnesses, checked in", True, True,
+               _witness_table_claim),
     _ClaimSpec("construct/chain-values", _KV(4, 2, "A2").source, True, False, _chain_values_claim),
     _ClaimSpec("construct/lift3-three", _KV(3, 3, "P3,V2,W2").source, True, False,
                _lift3_claim("three_color", 6)),

@@ -309,11 +309,22 @@ def _write_json(path, data):
     (lambda d: ("run", _write_json(d / "spec.json", {"pipeline": [3]})), "step 0"),
     (lambda d: ("run", _write_json(d / "spec.json",
                                    {"seed": "x", "pipeline": [{"op": "stats"}]})), "'seed'"),
+    (lambda d: ("run", _write_json(d / "spec.json",
+                                   {"pipeline": [{"op": "construct", "type": "chain",
+                                                  "n": 4.9, "l": 2.7}]})), "'l'"),
+    (lambda d: ("run", _write_json(d / "spec.json",
+                                   {"pipeline": [{"op": "construct", "type": "p3",
+                                                  "n": True}]})), "'n'"),
+    (lambda d: ("congen", "--n", "6", "--k", "3", "--l", "2", "--trials", "-1"), "--trials"),
+    (lambda d: ("run", _write_json(d / "spec.json",
+                                   {"pipeline": [{"op": "congen_trials", "n": 6, "k": 3,
+                                                  "l": 2, "trials": 0}]})), "'trials'"),
 ], ids=["coloring-without-colors", "coloring-not-object", "coloring-bad-l", "coloring-float-n",
         "coloring-string-colors", "family-not-list",
         "families-not-lists", "step-without-type", "step-bad-n", "traces-step-without-l",
         "lift3-step-with-l", "step-not-object",
-        "spec-bad-seed"])
+        "spec-bad-seed", "step-float-fields", "step-bool-n", "congen-negative-trials",
+        "congen-step-zero-trials"])
 def test_malformed_json_input_exits_2_naming_the_field(make_argv, field, tmp_path, capsys):
     assert run_cli(*make_argv(tmp_path)) == 2
     err = capsys.readouterr().err

@@ -30,6 +30,9 @@ def _agrees_with_oracle(n, l, specs, mode, kind):
     posets = [build_poset(s) for s in specs]
     value, first = oracle_least_witness(
         n, l, [copy_tuples(n, p, mode) for p in posets if p.size <= l], kind)
+    if kind == "partial":
+        # the lemma behind the search's partial cap, checked on the oracle
+        assert all(first.count(c) == value for c in range(1, l + 1)), (n, l, specs, mode)
     for sym_prune in (True, False):
         got = solve_min_class(n, l, PosetFamily(tuple(posets), mode), kind=kind,
                               use_construction_seed=False, sym_prune=sym_prune)
@@ -53,11 +56,6 @@ def _full_prefix_lex_leader(invs, assign, pos):
     return True
 
 
-# a witness for f(5,3,A3) >= 7: the search's least one at the optimum
-F_5_3_A3_WITNESS = [1, 0, 1, 0, 1, 0, 2, 0, 1, 0, 2, 0, 2, 0, 2, 3,
-                    1, 0, 2, 0, 2, 0, 3, 3, 2, 0, 3, 3, 3, 3, 1, 1]
-
-
 class TestSolveKnownValues:
     def test_f_4_2_A2(self):
         res = solve_min_class(4, 2, PosetFamily.from_spec("A2"))
@@ -78,8 +76,8 @@ class TestSolveKnownValues:
         assert res.nodes_explored == 0 and res.seed_source == "construction:pk"
 
     @pytest.mark.parametrize("spec,nodes,source,witness", [
-        ("P3", 739, "construction:p3", [3, 1, 2, 3] * 4),
-        ("V2", 506, "search", [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4),
+        ("P3", 687, "construction:p3", [3, 1, 2, 3] * 4),
+        ("V2", 476, "search", [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4),
     ])
     def test_search_pinned_n4(self, spec, nodes, source, witness):
         # exact node counts and witnesses: a detector change must not move the
@@ -95,9 +93,9 @@ class TestSolveKnownValues:
         assert plain.witness.assign == [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4
 
     @pytest.mark.parametrize("kind,n,l,spec,value,nodes,witness", [
-        ("partial", 4, 4, "A3", 3, 3655, [1, 0, 1, 0, 1, 0, 2, 0, 3, 4, 4, 2, 4, 2, 3, 3]),
+        ("partial", 4, 4, "A3", 3, 2722, [1, 0, 1, 0, 1, 0, 2, 0, 3, 4, 4, 2, 4, 2, 3, 3]),
         ("total", 4, 4, "A3", 2, 631, [1, 1, 1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 3, 4, 4, 3]),
-        ("partial", 5, 5, "A5", 6, 5875,
+        ("partial", 5, 5, "A5", 6, 3490,
          [0, 0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3, 4, 4, 3, 5, 2, 5, 3, 3, 4,
           5, 3, 5, 4, 5, 5, 4, 4]),
     ])
@@ -112,8 +110,8 @@ class TestSolveKnownValues:
         assert res.seed_source == "search" and res.witness.assign == witness
 
     @pytest.mark.parametrize("spec,nodes,witness", [
-        ("V3", 938, [1, 1, 2, 1, 2, 1, 3, 4, 2, 3, 3, 4, 3, 4, 4, 2]),
-        ("P3+A1", 1505, [1, 1, 2, 3, 2, 4, 2, 3, 4, 2, 4, 3, 3, 4, 1, 1]),
+        ("V3", 690, [1, 1, 2, 1, 2, 1, 3, 4, 2, 3, 3, 4, 3, 4, 4, 2]),
+        ("P3+A1", 1305, [1, 1, 2, 3, 2, 4, 2, 3, 4, 2, 4, 3, 3, 4, 1, 1]),
     ])
     def test_search_pinned_four_elements(self, spec, nodes, witness):
         # four-element members are forward-checked by their completion
@@ -177,17 +175,35 @@ class TestSolveKnownValues:
             assert off.prunes["symmetry"] == 0
 
     def test_f_5_3_A3_witness_replays(self):
-        # f(5,3,A3) = 7 takes ~3M nodes to prove; its witness alone is cheap
-        col = Coloring(5, 3, F_5_3_A3_WITNESS)
+        # f(5,3,A3) = 7 takes 1.29M nodes to prove unseeded; its witness
+        # alone is cheap
+        value, assign = solver.WITNESSES[(5, 3, "A3", "partial")]
+        col = Coloring(5, 3, list(assign))
         assert validate(col, PosetFamily.from_spec("A3")) is None
-        assert class_stats(col).sizes == (7, 7, 7)
+        assert value == 7 and class_stats(col).sizes == (7, 7, 7)
+
+    @pytest.mark.parametrize("key", sorted(solver.WITNESSES),
+                             ids=lambda key: solver.instance_label(*key))
+    def test_witness_table_replays(self, key):
+        # every entry is valid, attains its value, and seeds its instance
+        (n, l, spec, kind), (value, assign) = key, solver.WITNESSES[key]
+        fam = PosetFamily.from_spec(spec)
+        col = Coloring(n, l, list(assign))
+        assert validate(col, fam) is None and class_stats(col).min_size == value
+        assert kind == "partial" or col.is_total()
+        seed = solver._construction_seed(n, l, fam, kind)
+        assert seed[0] == value and seed[1].assign == list(assign)
+        assert seed[2] == f"witness:{solver.instance_label(n, l, spec, kind)}"
+        # use_construction_seed=False turns the table off too
+        off = solve_min_class(n, l, fam, kind=kind, budget=0, use_construction_seed=False)
+        assert not off.seed_source.startswith("witness:")
 
     def test_prune_counters_pinned(self):
         # every node the search cuts is counted once, under the first bound
         # that cuts it: a color's own count, Hall, then the S_n lex-leader
         res = solve_min_class(4, 4, PosetFamily.from_spec("A3"))
-        assert res.nodes_explored == 3655
-        assert res.prunes == {"count": 1059, "hall": 1235, "symmetry": 340}
+        assert res.nodes_explored == 2722
+        assert res.prunes == {"count": 619, "hall": 947, "symmetry": 282}
         assert res.to_json_dict()["prunes"] == res.prunes
         plain = solve_min_class(4, 4, PosetFamily.from_spec("A3"), sym_prune=False)
         assert plain.prunes["symmetry"] == 0 and plain.witness.assign == res.witness.assign
@@ -308,6 +324,28 @@ class TestSolveOracle:
                         for x in range(pos + 1, 16):
                             want = d not in lost[x]
                             assert (search.allowed[d] >> x & 1) == want, (mode, pos, d, x)
+
+    def test_least_partial_witness_fills_every_class_exactly(self):
+        # the lemma behind the partial cap: uncoloring a set keeps a valid
+        # assignment valid and makes it smaller, so the least one with every
+        # class >= m has every class exactly m; from the construction seed
+        # or none, each partial witness the search finds must show it
+        checked = 0
+        grid = [(n, l, (spec,)) for n in (2, 3)
+                for l, specs in ((2, ("A1", "A2", "P2")), (3, SMALL_SHAPES), (4, SMALL_SHAPES))
+                for spec in specs]
+        grid += [(3, 3, ("P3", "V2", "W2")), (3, 3, ("A2", "A3")), (2, 4, ("P3", "D2")),
+                 (3, 4, ("A2", "D2")), (3, 4, ("A4", "P2")), (2, 5, ("A4", "A5"))]
+        for n, l, specs in grid:
+            for mode in ("induced", "weak"):
+                fam = PosetFamily(tuple(map(build_poset, specs)), mode)
+                for seeded in (True, False):
+                    res = solve_min_class(n, l, fam, use_construction_seed=seeded)
+                    if res.seed_source == "search":
+                        assert class_stats(res.witness).sizes == (res.value,) * l, \
+                            (n, l, specs, mode, seeded)
+                        checked += 1
+        assert checked > 50
 
     def test_hall_bound_cuts_on_the_oracle_grid(self):
         # the oracle comparisons above run with the Hall bound on; it must
