@@ -71,7 +71,7 @@ def subset_of(elems) -> int:
 
 def parse_subset(value, n: int | None = None) -> int:
     """Accept an integer id or a "{1,3}" literal.  Ids are what we emit."""
-    if isinstance(value, int):
+    if type(value) is int:  # bool is an int subclass
         bits = value
     elif isinstance(value, str):
         text = value.strip()

@@ -213,15 +213,13 @@ def _embedding_order(poset: Poset) -> list[int]:
     return sorted(range(poset.size), key=lambda e: (-poset.degree(e), e))
 
 
-def embed_poset(poset: Poset, mode: str, universe, *, labels=None, required=(),
-                n: int | None = None):
+def embed_poset(poset: Poset, mode: str, universe):
     """Search for a copy of poset among the subset ids in `universe`.
 
     mode "induced": order matches strict inclusion exactly; "weak": relations
-    only imply inclusion.  With `labels` (indexable by id) the images must
-    carry pairwise distinct labels.  Ids in `required` must all be used.
-    Returns {element: id} or None.  Deterministic: elements are placed
-    most-constrained first, candidates tried in ascending id order.
+    only imply inclusion.  Returns {element: id} or None.  Deterministic:
+    elements are placed most-constrained first, candidates tried in
+    ascending id order.
     """
     if mode not in ("induced", "weak"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -229,13 +227,9 @@ def embed_poset(poset: Poset, mode: str, universe, *, labels=None, required=(),
     if poset.size > len(universe):
         return None
     uni_set = set(universe)
-    required = set(required)
-    if not required <= uni_set:
-        return None
     order = _embedding_order(poset)
     assigned: dict[int, int] = {}
     used: set[int] = set()
-    used_labels: set = set()
     induced = mode == "induced"
 
     def consistent(e: int, cand: int) -> bool:
@@ -253,18 +247,14 @@ def embed_poset(poset: Poset, mode: str, universe, *, labels=None, required=(),
     def candidates(e: int):
         lowers = [assigned[q] for q in assigned if poset.is_less(q, e)]
         uppers = [assigned[q] for q in assigned if poset.is_less(e, q)]
-        if not lowers and not uppers:
+        if not uppers:
             return universe
         lo = 0
         for x in lowers:
             lo |= x
-        hi = None
-        for x in uppers:
-            hi = x if hi is None else hi & x
-        if hi is None:
-            if n is None:
-                return universe
-            hi = (1 << n) - 1
+        hi = uppers[0]
+        for x in uppers[1:]:
+            hi &= x
         if not is_subset(lo, hi):
             return ()
         free = hi & ~lo
@@ -275,29 +265,17 @@ def embed_poset(poset: Poset, mode: str, universe, *, labels=None, required=(),
 
     def place(idx: int) -> bool:
         if idx == poset.size:
-            return not required - used
-        if len(required - used) > poset.size - idx:
-            return False
+            return True
         e = order[idx]
         for cand in candidates(e):
-            if cand in used:
-                continue
-            if labels is not None:
-                lab = labels[cand]
-                if lab in used_labels:
-                    continue
-            if not consistent(e, cand):
+            if cand in used or not consistent(e, cand):
                 continue
             assigned[e] = cand
             used.add(cand)
-            if labels is not None:
-                used_labels.add(labels[cand])
             if place(idx + 1):
                 return True
             del assigned[e]
             used.discard(cand)
-            if labels is not None:
-                used_labels.discard(labels[cand])
         return False
 
     if place(0):

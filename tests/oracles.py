@@ -1,8 +1,9 @@
 """Independent brute-force oracles the library is checked against.
 
-Everything here is deliberately naive: all-injections search, full tuple
-enumeration, full assignment enumeration.  Nothing imports the library's
-search code paths beyond plain data types.
+Everything here is deliberately naive: all-injections search, plain
+backtracking for labelled copies, full tuple enumeration, full assignment
+enumeration.  Nothing imports the library's search code paths beyond plain
+data types.
 """
 
 from __future__ import annotations
@@ -12,19 +13,19 @@ from itertools import permutations, product
 from rainbow_lattice.lattice import comparable, is_proper_subset
 
 
+def _pair_is_copy(poset, induced, a, b, sa, sb) -> bool:
+    """Do the images sa of a and sb of b respect the pair's relation?"""
+    if poset.is_less(a, b):
+        return is_proper_subset(sa, sb)
+    if poset.is_less(b, a):
+        return is_proper_subset(sb, sa)
+    return not (induced and comparable(sa, sb))
+
+
 def _tuple_is_copy(poset, mode, images) -> bool:
     induced = mode == "induced"
-    for a in range(poset.size):
-        for b in range(a + 1, poset.size):
-            if poset.is_less(a, b):
-                if not is_proper_subset(images[a], images[b]):
-                    return False
-            elif poset.is_less(b, a):
-                if not is_proper_subset(images[b], images[a]):
-                    return False
-            elif induced and comparable(images[a], images[b]):
-                return False
-    return True
+    return all(_pair_is_copy(poset, induced, a, b, images[a], images[b])
+               for a in range(poset.size) for b in range(a + 1, poset.size))
 
 
 def naive_find_copy(family, poset, mode: str) -> bool:
@@ -43,6 +44,43 @@ def copy_tuples(n: int, poset, mode: str) -> list[tuple[int, ...]]:
     (index i holds the image of poset element i)."""
     return [images for images in permutations(range(1 << n), poset.size)
             if _tuple_is_copy(poset, mode, images)]
+
+
+def rainbow_copy(poset, mode: str, pool, labels, required):
+    """A copy of poset among the ids in pool whose images carry pairwise
+    distinct labels[id] and use every id in required: {element: id} or None.
+
+    The labelled reference search: plain backtracking over pool, elements
+    placed most comparable first, each candidate checked against every
+    element already placed.
+    """
+    pool = sorted(pool)
+    required = set(required)
+    if not required <= set(pool):
+        return None
+    induced = mode == "induced"
+    order = sorted(range(poset.size), key=lambda e: (-poset.degree(e), e))
+    assigned = {}
+
+    def place(idx: int) -> bool:
+        used = set(assigned.values())
+        if len(required - used) > poset.size - idx:
+            return False
+        if idx == poset.size:
+            return True
+        e = order[idx]
+        taken = {labels[s] for s in used}
+        for cand in pool:
+            if cand in used or labels[cand] in taken:
+                continue
+            if all(_pair_is_copy(poset, induced, e, q, cand, s) for q, s in assigned.items()):
+                assigned[e] = cand
+                if place(idx + 1):
+                    return True
+                del assigned[e]
+        return False
+
+    return dict(assigned) if place(0) else None
 
 
 def oracle_rainbow_witnesses(assign, tuples) -> list[tuple[int, ...]]:

@@ -294,7 +294,9 @@ def _write_json(path, data):
                 _write_json(d / "c.json", {"n": 2, "l": 2, "colors": "0110"}),
                 "--forbid", "A2"), "'colors'"),
     (lambda d: ("detect", "--family", "5", "--poset", "A2"), "--family"),
+    (lambda d: ("detect", "--family", "[true, 3]", "--poset", "P2"), "True"),
     (lambda d: ("decompose", "--n", "3", "--families", "[1]"), "--families"),
+    (lambda d: ("decompose", "--n", "2", "--families", "[[true], [3]]"), "True"),
     (lambda d: ("run", _write_json(d / "spec.json",
                                    {"pipeline": [{"op": "construct", "n": 4}]})), "'type'"),
     (lambda d: ("run", _write_json(d / "spec.json",
@@ -320,9 +322,9 @@ def _write_json(path, data):
                                    {"pipeline": [{"op": "congen_trials", "n": 6, "k": 3,
                                                   "l": 2, "trials": 0}]})), "'trials'"),
 ], ids=["coloring-without-colors", "coloring-not-object", "coloring-bad-l", "coloring-float-n",
-        "coloring-string-colors", "family-not-list",
-        "families-not-lists", "step-without-type", "step-bad-n", "traces-step-without-l",
-        "lift3-step-with-l", "step-not-object",
+        "coloring-string-colors", "family-not-list", "family-bool-id",
+        "families-not-lists", "families-bool-id", "step-without-type", "step-bad-n",
+        "traces-step-without-l", "lift3-step-with-l", "step-not-object",
         "spec-bad-seed", "step-float-fields", "step-bool-n", "congen-negative-trials",
         "congen-step-zero-trials"])
 def test_malformed_json_input_exits_2_naming_the_field(make_argv, field, tmp_path, capsys):

@@ -13,8 +13,8 @@ from rainbow_lattice.coloring import (Coloring, PosetFamily, _lexmin_sets, canon
                                       validate_incremental)
 from rainbow_lattice.constructions import lift3_coloring, p3_total_coloring
 from rainbow_lattice.kernel import RainbowKernel
-from rainbow_lattice.posets import build_poset, embed_poset
-from oracles import copy_tuples, oracle_has_rainbow, oracle_rainbow_witnesses
+from rainbow_lattice.posets import build_poset
+from oracles import copy_tuples, oracle_has_rainbow, oracle_rainbow_witnesses, rainbow_copy
 
 
 def test_class_stats_examples():
@@ -72,6 +72,10 @@ def test_validate_reports_lexmin_witness():
         else:
             assert got is not None
             assert got.sets == oracle[0], (c.assign, p.name, mode)
+            # the reported embedding is a copy on those sets, colored as reported
+            images = tuple(got.embedding[i] for i in range(p.size))
+            assert images in tuple_cache[key] and tuple(sorted(images)) == got.sets
+            assert got.colors == tuple(c.assign[s] for s in got.sets)
 
 
 def test_validate_agrees_with_oracle_b4_random():
@@ -153,9 +157,9 @@ def test_validate_incremental_is_least_witness_through_the_set(case, spec, mode)
     assert (None if got is None else got.sets) == (want[0] if want else None)
 
 
-def _embed_lexmin(c, poset, mode, must):
+def _reference_lexmin(c, poset, mode, must):
     """The lexicographically least witness of poset (through must) by the
-    same greedy as coloring._lexmin_sets, each step one embed_poset search:
+    same greedy as coloring._lexmin_sets, each step one rainbow_copy search:
     the least x such that some copy uses the sets chosen so far, x and must,
     and otherwise only colored sets above x."""
     universe = c.colored_ids()
@@ -171,7 +175,7 @@ def _embed_lexmin(c, poset, mode, must):
                     continue
                 req.append(must)
             pool = chosen + [y for y in universe if y >= x]
-            if embed_poset(poset, mode, pool, labels=c.assign, required=req, n=c.n) is not None:
+            if rainbow_copy(poset, mode, pool, c.assign, req) is not None:
                 chosen.append(x)
                 break
         else:
@@ -183,13 +187,13 @@ def _embed_lexmin(c, poset, mode, must):
 @settings(max_examples=200, deadline=None)
 @given(pinned_colorings(5), st.sampled_from(PINNED_SPECS), st.sampled_from(("induced", "weak")),
        st.booleans())
-def test_kernel_minimizer_matches_embed_poset(case, spec, mode, pinned):
+def test_kernel_minimizer_matches_rainbow_copy_greedy(case, spec, mode, pinned):
     n, l, assign, s = case
     c, poset = Coloring(n, l, assign), build_poset(spec)
     must = s if pinned else None
     kernel = RainbowKernel(n, l, [poset], mode, assign)
     kernel.mark_all()
-    assert _lexmin_sets(c, poset, must, kernel) == _embed_lexmin(c, poset, mode, must)
+    assert _lexmin_sets(c, poset, must, kernel) == _reference_lexmin(c, poset, mode, must)
 
 
 def _sparse_coloring(rng, n, l, chains, length):
@@ -205,9 +209,9 @@ def _sparse_coloring(rng, n, l, chains, length):
 
 
 @pytest.mark.parametrize("n", (14, 20))
-def test_validate_above_table_size_matches_embed_poset(n):
+def test_validate_above_table_size_matches_rainbow_copy_greedy(n):
     # whole cone tables stop at n = 13; above it the masks are computed on
-    # demand, and validate must still report the embed_poset greedy's witness
+    # demand, and validate must still report the reference greedy's witness
     rng = random.Random(n)
     specs = ("A3", "P3", "V2", "D2") if n == 14 else ("P3", "D2")
     witnesses = 0
@@ -216,12 +220,12 @@ def test_validate_above_table_size_matches_embed_poset(n):
         c = _sparse_coloring(rng, n, 4, chains=4, length=5)
         for mode in ("induced", "weak"):
             got = validate(c, PosetFamily((poset,), mode))
-            want = _embed_lexmin(c, poset, mode, None)
+            want = _reference_lexmin(c, poset, mode, None)
             assert (None if got is None else got.sets) == want, (spec, mode)
             witnesses += want is not None
         must = rng.choice(c.colored_ids())
         got = validate_incremental(c, must, PosetFamily((poset,), "induced"))
-        assert (None if got is None else got.sets) == _embed_lexmin(c, poset, "induced", must)
+        assert (None if got is None else got.sets) == _reference_lexmin(c, poset, "induced", must)
     assert witnesses >= len(specs)
 
 

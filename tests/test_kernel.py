@@ -1,4 +1,5 @@
-"""The bitset rainbow kernel against embed_poset and the brute-force oracles."""
+"""The bitset rainbow kernel against the labelled reference search and the
+brute-force oracles, both in tests/oracles.py."""
 
 import random
 from functools import lru_cache
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from rainbow_lattice.kernel import (_TABLE_BITS, RainbowKernel, antichain_reach,
                                     completion_plans, mask_tables)
 from rainbow_lattice.lattice import ENUMERATION_CAP, comparable, is_subset
-from rainbow_lattice.posets import build_poset, embed_poset
-from oracles import copy_tuples, oracle_has_rainbow
+from rainbow_lattice.posets import build_poset
+from oracles import copy_tuples, oracle_has_rainbow, rainbow_copy
 
 SPECS = ("A2", "A3", "A4", "P2", "P3", "P4", "V2", "W2", "D2", "P2+A1",
          '{"size": 4, "relations": [[0, 2], [1, 2], [1, 3]]}')
@@ -34,7 +35,7 @@ def partial_colorings(draw):
 @settings(max_examples=300, deadline=None)
 @given(partial_colorings(), st.sampled_from(SPECS), st.sampled_from(("induced", "weak")),
        st.one_of(st.none(), st.integers(0, 15)))
-def test_kernel_agrees_with_embed_poset_and_oracle(coloring, spec, mode, containing):
+def test_kernel_agrees_with_rainbow_copy_and_oracle(coloring, spec, mode, containing):
     n, l, assign = coloring
     if containing is not None:
         containing %= 1 << n
@@ -49,7 +50,7 @@ def test_kernel_agrees_with_embed_poset_and_oracle(coloring, spec, mode, contain
         got = False
     colored = [s for s, v in enumerate(assign) if v]
     required = () if containing is None else (containing,)
-    ref = embed_poset(poset, mode, colored, labels=assign, required=required, n=n)
+    ref = rainbow_copy(poset, mode, colored, assign, required)
     tuples = _tuples(n, spec, mode)
     if containing is not None:
         tuples = [t for t in tuples if containing in t]

@@ -86,6 +86,8 @@ def test_subset_literals():
         parse_subset("{1,3}", n=2)
     with pytest.raises(ValueError):
         parse_subset(-1)
+    with pytest.raises(ValueError, match="True"):
+        parse_subset(True)
 
 
 @settings(max_examples=200, deadline=None)

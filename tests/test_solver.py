@@ -78,7 +78,7 @@ class TestSolveKnownValues:
     @pytest.mark.parametrize("spec,nodes,source,witness", [
         ("P3", 687, "construction:p3", [3, 1, 2, 3] * 4),
         ("V2", 476, "search", [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4),
-    ])
+    ], ids=["P3", "V2"])
     def test_search_pinned_n4(self, spec, nodes, source, witness):
         # exact node counts and witnesses: a detector change must not move the
         # search, and a sound prune moves only the node count
@@ -98,7 +98,7 @@ class TestSolveKnownValues:
         ("partial", 5, 5, "A5", 6, 3490,
          [0, 0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3, 4, 4, 3, 5, 2, 5, 3, 3, 4,
           5, 3, 5, 4, 5, 5, 4, 4]),
-    ])
+    ], ids=["partial-4-4-A3", "total-4-4-A3", "partial-5-5-A5"])
     def test_search_pinned_antichains(self, kind, n, l, spec, value, nodes, witness):
         # the antichain detector decides only yes/no, so a faster one must
         # leave the node count and the search's witness exactly as they are;
@@ -112,7 +112,7 @@ class TestSolveKnownValues:
     @pytest.mark.parametrize("spec,nodes,witness", [
         ("V3", 690, [1, 1, 2, 1, 2, 1, 3, 4, 2, 3, 3, 4, 3, 4, 4, 2]),
         ("P3+A1", 1305, [1, 1, 2, 3, 2, 4, 2, 3, 4, 2, 4, 3, 3, 4, 1, 1]),
-    ])
+    ], ids=["V3", "P3+A1"])
     def test_search_pinned_four_elements(self, spec, nodes, witness):
         # four-element members are forward-checked by their completion
         # plans: 10,230 and 29,503 nodes with a copy search per placement,
