@@ -45,6 +45,14 @@ def _emit(data: dict, args) -> None:
     _write(_render(data, args.format), args)
 
 
+def _subsets(flag: str, raw, n: int | None = None) -> list[int]:
+    """parse_subset over the items of raw, an error naming the flag."""
+    try:
+        return [parse_subset(v, n) for v in raw]
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _family_arg(value: str):
     """A family of subsets: inline JSON list or @file; literals per parse_subset."""
     if value.startswith("@"):
@@ -54,7 +62,7 @@ def _family_arg(value: str):
         raw = json.loads(value)
     if not isinstance(raw, list):
         raise ValueError("--family must be a JSON list of subsets")
-    return [parse_subset(v) for v in raw]
+    return _subsets("--family", raw)
 
 
 def _flag(name: str) -> str:
@@ -120,7 +128,7 @@ def _cmd_decompose(args) -> int:
     raw = json.loads(args.families)
     if not isinstance(raw, list) or not all(isinstance(fam, list) for fam in raw):
         raise ValueError("--families must be a JSON list of lists of subsets")
-    families = [[parse_subset(v, args.n) for v in fam] for fam in raw]
+    families = [_subsets("--families", fam, args.n) for fam in raw]
     dec = az_decompose(args.n, families)
     if dec is None:
         _emit({"found": False}, args)

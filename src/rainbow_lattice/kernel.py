@@ -214,7 +214,7 @@ class RainbowKernel:
 
     `assign` is a live view of the coloring (read, never written);
     `color_mask[c]` holds the sets of color c the search may use, filled by
-    mark_all() and scan(); color_mask[0] stays 0.  Induced antichains take
+    mark_all(), scan() or toggle(); color_mask[0] stays 0.  Induced antichains take
     the clique walk of antichain_reach, weak ones a count of the colors in
     use (any k distinctly colored sets form a weak copy of A_k), every other
     member the generic copy search.
@@ -240,6 +240,10 @@ class RainbowKernel:
         for s, c in enumerate(self.assign):
             if c:
                 self.color_mask[c] |= 1 << s
+
+    def toggle(self, s: int) -> None:
+        """Make the colored set s available, or unavailable if it is."""
+        self.color_mask[self.assign[s]] ^= 1 << s
 
     def scan(self) -> bool:
         """Whether `assign` has a rainbow copy: the colored sets are added in

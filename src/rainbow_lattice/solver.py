@@ -29,7 +29,7 @@ from .constructions import (chain_interval_coloring, incomparable_traces,
                             lift3_coloring, p3_total_coloring, pk_coloring)
 from .kernel import antichain_reach, complete, completion_plans, mask_tables
 from .lattice import (CANONICAL_CAP, all_subset_permutation_tables, check_dimension,
-                      comparable, full_set, is_subset, submasks_ascending)
+                      comparable, full_set, submasks_ascending)
 from .posets import ISO_CAP, Poset, antichain, build_poset, chain, diamond, vee, wedge
 
 
@@ -433,26 +433,6 @@ class ChainDecomposition:
     parts: tuple[frozenset[int], ...]    # partition of 1..t, one block per family
 
 
-def ordered_set_partitions(n: int):
-    """All chains from the empty set to the ground set, one per ordered set
-    partition of [n]; deterministic order."""
-    def rec(remaining):
-        if not remaining:
-            yield []
-            return
-        for b in submasks_ascending(remaining):
-            if b == 0:
-                continue
-            for rest in rec(remaining & ~b):
-                yield [b] + rest
-
-    for blocks in rec(full_set(n)):
-        out = [0]
-        for b in blocks:
-            out.append(out[-1] | b)
-        yield tuple(out)
-
-
 def az_decompose(n: int, families) -> ChainDecomposition | None:
     """Chain plus interval assignment housing pairwise cross-comparable
     families (Ahlswede-Zhang style): family i lives on the chain itself plus
@@ -461,6 +441,16 @@ def az_decompose(n: int, families) -> ChainDecomposition | None:
     The hypothesis (every cross pair of sets from two distinct families is
     comparable) is checked first; a violation is an error naming the pair.
     When the hypothesis holds a decomposition always exists.
+
+    The chains (one per ordered set partition of [n]; tops prev | b for the
+    nonempty submasks b of the rest, ascending) are searched depth first.
+    Every set not placed yet contains prev, and one inside top lies on the
+    chain or in (prev, top), which its family then owns.  A set neither
+    inside nor above top fails every chain through the prefix (the chain set
+    before its first one above contains top, so is not inside it), as does a
+    second family owning one interval; so pruning there keeps the first
+    chain that houses the families.  Unowned intervals go to the first
+    family owning none, else to the first.
     """
     check_dimension(n)
     families = [sorted(set(f)) for f in families]
@@ -474,33 +464,46 @@ def az_decompose(n: int, families) -> ChainDecomposition | None:
                         raise ValueError(
                             f"hypothesis violated: families {i + 1} and {j + 1} "
                             f"contain the incomparable pair ({fi}, {fj})")
-    m = len(families)
-    for ch in ordered_set_partitions(n):
-        chainset = set(ch)
-        t = len(ch) - 1
-        needed = [set() for _ in range(m)]
-        ok = True
-        for fi, fam in enumerate(families):
-            for f in fam:
-                if f in chainset:
-                    continue
-                h = next((h for h in range(1, t + 1) if is_subset(f, ch[h])), None)
-                if h is None or not is_subset(ch[h - 1], f):
-                    ok = False
+    full = full_set(n)
+    # the empty set lies on every chain; a set outside the ground set on none
+    waiting = [(f, i) for i, fam in enumerate(families) for f in fam if f]
+    if any(f & ~full for f, _ in waiting):
+        return None
+    # owners[h - 1]: the family owning (chain[h - 1], chain[h]), or -1
+    chain, owners = [0], []
+
+    def extend(prev: int, waiting) -> bool:
+        if prev == full:
+            return True
+        for b in submasks_ascending(full & ~prev):
+            if not b:
+                continue
+            top, owner, rest = prev | b, -1, []
+            for f, i in waiting:
+                if not f & ~top:
+                    if f != top:
+                        if owner not in (-1, i):
+                            break
+                        owner = i
+                elif top & ~f:
                     break
-                needed[fi].add(h)
-            if not ok:
-                break
-        if not ok:
-            continue
-        if sum(len(s) for s in needed) != len(set().union(*needed)):
-            continue
-        leftovers = set(range(1, t + 1)) - set().union(*needed)
-        if leftovers:
-            target = next((i for i, s in enumerate(needed) if not s), 0)
-            needed[target] |= leftovers
-        return ChainDecomposition(ch, tuple(frozenset(s) for s in needed))
-    return None
+                else:
+                    rest.append((f, i))
+            else:
+                chain.append(top)
+                owners.append(owner)
+                if extend(top, rest):
+                    return True
+                chain.pop()
+                owners.pop()
+        return False
+
+    if not extend(0, waiting):
+        return None
+    parts = [{h for h, o in enumerate(owners, 1) if o == i} for i in range(len(families))]
+    target = next((i for i, s in enumerate(parts) if not s), 0)
+    parts[target] |= {h for h, o in enumerate(owners, 1) if o == -1}
+    return ChainDecomposition(tuple(chain), tuple(map(frozenset, parts)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds
-from .coloring import Coloring, PosetFamily, class_stats, has_rainbow, validate
+from .coloring import Coloring, PosetFamily, class_stats, validate
 from .constructions import (chain_family_coloring, chain_interval_coloring,
                             chain_overlap_check, incomparable_traces, lift3_coloring,
                             p3_total_coloring, pk_coloring, random_chain_family,
                             trial_seed)
-from .kernel import mask_tables
+from .kernel import RainbowKernel, mask_tables
 from .lattice import Interval, interval_members
 from .solver import (WITNESSES, az_decompose, cross_sperner_check, greedy_tuples_and_cover,
                      instance_label, solve_min_class)
@@ -88,14 +88,18 @@ def random_valid_coloring(n: int, l: int, forbidden: PosetFamily,
     to two random colors on each and keep the first that creates no rainbow
     copy."""
     c = Coloring.empty(n, l)
+    kernel = RainbowKernel(n, l, [p for p in forbidden.members if p.size <= l],
+                           forbidden.mode, c.assign)
     ids = list(range(1 << n))
     rng.shuffle(ids)
     for s in ids:
         colors = rng.sample(range(1, l + 1), min(2, l))
         for col in colors:
             c.assign[s] = col
-            if not has_rainbow(c, forbidden, containing=s):
+            kernel.toggle(s)
+            if not kernel.through(s):
                 break
+            kernel.toggle(s)
             c.assign[s] = 0
     return c
 

@@ -2,15 +2,16 @@
 
 Everything here is deliberately naive: all-injections search, plain
 backtracking for labelled copies, full tuple enumeration, full assignment
-enumeration.  Nothing imports the library's search code paths beyond plain
-data types.
+enumeration, every chain tried for a chain decomposition.  Nothing imports
+the library's search code paths beyond plain data types.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
 
-from rainbow_lattice.lattice import comparable, is_proper_subset
+from rainbow_lattice.lattice import (check_dimension, comparable, full_set, is_proper_subset,
+                                     is_subset, submasks_ascending)
 
 
 def _pair_is_copy(poset, induced, a, b, sa, sb) -> bool:
@@ -157,3 +158,67 @@ def oracle_interval_members(n: int, iv) -> list[int]:
             continue
         out.append(h)
     return out
+
+
+def ordered_set_partitions(n: int):
+    """All chains from the empty set to the ground set, one per ordered set
+    partition of [n]: blocks in ascending submask order, depth first."""
+    def rec(remaining):
+        if not remaining:
+            yield []
+            return
+        for b in submasks_ascending(remaining):
+            if b == 0:
+                continue
+            for rest in rec(remaining & ~b):
+                yield [b] + rest
+
+    for blocks in rec(full_set(n)):
+        out = [0]
+        for b in blocks:
+            out.append(out[-1] | b)
+        yield tuple(out)
+
+
+def oracle_az_decompose(n: int, families):
+    """(chain, parts) of the first chain in ordered_set_partitions order that
+    houses the families, or None; the same hypothesis check and error text
+    as the library.  Every chain is tried in full: each set off the chain
+    must lie strictly between its first covering chain set and the one
+    before, no interval may hold sets of two families, and intervals no
+    family needs go to the first family that needs none, else the first."""
+    check_dimension(n)
+    families = [sorted(set(f)) for f in families]
+    if not families:
+        raise ValueError("need at least one family")
+    for i in range(len(families)):
+        for j in range(i + 1, len(families)):
+            for fi in families[i]:
+                for fj in families[j]:
+                    if not comparable(fi, fj):
+                        raise ValueError(
+                            f"hypothesis violated: families {i + 1} and {j + 1} "
+                            f"contain the incomparable pair ({fi}, {fj})")
+    for ch in ordered_set_partitions(n):
+        t = len(ch) - 1
+        needed = [set() for _ in families]
+        ok = True
+        for fi, fam in enumerate(families):
+            for f in fam:
+                if f in ch:
+                    continue
+                h = next((h for h in range(1, t + 1) if is_subset(f, ch[h])), None)
+                if h is None or not is_subset(ch[h - 1], f):
+                    ok = False
+                    break
+                needed[fi].add(h)
+            if not ok:
+                break
+        if not ok or sum(len(s) for s in needed) != len(set().union(*needed)):
+            continue
+        leftovers = set(range(1, t + 1)) - set().union(*needed)
+        if leftovers:
+            target = next((i for i, s in enumerate(needed) if not s), 0)
+            needed[target] |= leftovers
+        return ch, tuple(frozenset(s) for s in needed)
+    return None

@@ -294,9 +294,11 @@ def _write_json(path, data):
                 _write_json(d / "c.json", {"n": 2, "l": 2, "colors": "0110"}),
                 "--forbid", "A2"), "'colors'"),
     (lambda d: ("detect", "--family", "5", "--poset", "A2"), "--family"),
-    (lambda d: ("detect", "--family", "[true, 3]", "--poset", "P2"), "True"),
+    (lambda d: ("detect", "--family", "[true, 3]", "--poset", "P2"),
+     "--family: cannot parse subset literal True"),
     (lambda d: ("decompose", "--n", "3", "--families", "[1]"), "--families"),
-    (lambda d: ("decompose", "--n", "2", "--families", "[[true], [3]]"), "True"),
+    (lambda d: ("decompose", "--n", "2", "--families", "[[true], [3]]"),
+     "--families: cannot parse subset literal True"),
     (lambda d: ("run", _write_json(d / "spec.json",
                                    {"pipeline": [{"op": "construct", "n": 4}]})), "'type'"),
     (lambda d: ("run", _write_json(d / "spec.json",

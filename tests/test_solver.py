@@ -5,6 +5,8 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbow_lattice import kernel, solver
 from rainbow_lattice.coloring import Coloring, PosetFamily, class_stats, validate
@@ -12,12 +14,12 @@ from rainbow_lattice.lattice import (all_subset_permutation_tables, canonical_as
                                      comparable, full_set, interval_members, Interval)
 from rainbow_lattice.posets import build_poset
 from rainbow_lattice.solver import (az_decompose, cross_sperner_check,
-                                    greedy_tuples_and_cover, ordered_set_partitions,
-                                    solve_min_class)
+                                    greedy_tuples_and_cover, solve_min_class)
 from rainbow_lattice.verify import (max_cross_sperner_product_exhaustive,
                                     random_cross_comparable_families,
                                     random_valid_coloring)
-from oracles import copy_tuples, oracle_least_witness, oracle_solve
+from oracles import (copy_tuples, oracle_az_decompose, oracle_least_witness, oracle_solve,
+                     ordered_set_partitions)
 
 
 # every poset of at most three elements: the members the search forward-checks
@@ -538,6 +540,57 @@ class TestAzDecompose:
             dec = az_decompose(4, fams)
             assert dec is not None
             self._check_contract(4, fams, dec)
+
+    def test_late_first_chain_at_n12(self):
+        # {12} fits no chain before the first whose first block is {12}: far
+        # out of reach of trying every chain in order
+        dec = az_decompose(12, [[2048]])
+        assert dec.chain == (0, 2048, *((2048 | (1 << k) - 1) for k in range(1, 12)))
+        assert dec.parts == (frozenset(range(1, 13)),)
+
+
+def _outcome(fn, n, families):
+    """(chain, parts), None, or the ValueError text."""
+    try:
+        dec = fn(n, families)
+    except ValueError as exc:
+        return str(exc)
+    return dec if dec is None or isinstance(dec, tuple) else (dec.chain, dec.parts)
+
+
+@st.composite
+def housed_families(draw):
+    """(n, families): random_cross_comparable_families at n <= 5 with the
+    empty set, the ground set or one set of another family mixed in."""
+    n = draw(st.integers(1, 5))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    fams = random_cross_comparable_families(n, draw(st.integers(1, 4)), rng)
+    i = draw(st.integers(0, len(fams) - 1))
+    extra = draw(st.sampled_from(("none", "empty", "ground", "shared")))
+    if extra == "empty":
+        fams[i].append(0)
+    elif extra == "ground":
+        fams[i].append(full_set(n))
+    elif extra == "shared" and len(fams) > 1:
+        donor = fams[(i + 1) % len(fams)]
+        if donor:
+            fams[i].append(draw(st.sampled_from(donor)))
+    return n, fams
+
+
+@st.composite
+def raw_families(draw):
+    """(n, families): one to three lists of arbitrary subset ids at n <= 5."""
+    n = draw(st.integers(1, 5))
+    ids = st.lists(st.integers(0, full_set(n)), max_size=4)
+    return n, draw(st.lists(ids, min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(housed_families(), raw_families()))
+def test_az_decompose_is_the_oracles_first_chain(case):
+    n, families = case
+    assert _outcome(az_decompose, n, families) == _outcome(oracle_az_decompose, n, families)
 
 
 class TestCrossSperner:
