@@ -14,6 +14,7 @@ from .kernel import RainbowKernel
 from .posets import Poset, build_poset, embed_poset
 
 UNCOLORED = 0
+_BYTES = bytes(range(256))
 
 
 @dataclass
@@ -30,8 +31,14 @@ class Coloring:
             raise ValueError(f"need at least one color, got l={self.l}")
         if len(self.assign) != 1 << self.n:
             raise ValueError(f"assignment length {len(self.assign)} != 2^{self.n}")
-        # check the distinct values; scan the list only to name the first bad one
-        if not all(0 <= v <= self.l for v in set(self.assign)):
+        # deleting the bytes 0..l leaves nothing iff every color is in range;
+        # values that are no byte (negative, above 255, not an int) take the
+        # set of distinct values instead.  The scan only names the first bad one.
+        try:
+            ok = not bytearray(self.assign).translate(None, _BYTES[:self.l + 1])
+        except (TypeError, ValueError):
+            ok = all(0 <= v <= self.l for v in set(self.assign))
+        if not ok:
             bad = next(v for v in self.assign if not 0 <= v <= self.l)
             raise ValueError(f"color {bad} outside 0..{self.l}")
 

@@ -152,7 +152,7 @@ def incomparable_traces(n: int, l: int, total: bool = False,
     claimed = 2 ** (n - m)
     return ConstructionReport(
         name="traces", n=n, l=l, forbidden=forbidden, certificate="structural",
-        claimed_min=claimed, class_sizes=tuple(per), uncolored=assign.count(0),
+        claimed_min=claimed, class_sizes=tuple(per), uncolored=pattern.count(0) << (n - m),
         coloring=col, formula_min=claimed,
         params={"total": total, "m": m, "traces": traces},
     )
@@ -198,7 +198,7 @@ def chain_interval_coloring(n: int, l: int) -> ConstructionReport:
     return ConstructionReport(
         name="chain", n=n, l=l,
         forbidden=PosetFamily((antichain(2),), "induced"), certificate="structural",
-        claimed_min=min(sizes), class_sizes=sizes, uncolored=assign.count(0),
+        claimed_min=min(sizes), class_sizes=sizes, uncolored=(1 << n) - sum(sizes),
         coloring=col, formula_min=formula.value,
         params={"a": a, "chain": sets, "dims": dims},
         notes="" if min(sizes) == formula.value else

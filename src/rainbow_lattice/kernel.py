@@ -320,12 +320,13 @@ class RainbowKernel:
         When as many sets are required as images remain, only they are
         candidates.  So with one step left any candidate completes a copy
         (steps is never empty: a member here has two or more elements).
-        With two left the last image is not placed one by one: its cut by
-        the images before x, the next-to-last image, is built once, and x
-        completes a copy iff (cut & ~cm) & link[x] is nonempty, link being
-        the last step's table relative to x (no constraint when they are
-        unrelated, weak mode), and the required sets left after x are none
-        or that last image."""
+        Otherwise the next image's cut by the images before x is built
+        once, and its candidates after x lie in (cut & ~cm) & link[x],
+        link being the next step's table relative to x (no constraint when
+        they are unrelated, weak mode).  An x that leaves this empty is
+        skipped without a call.  With two steps left that is the whole
+        test: x completes a copy iff it is nonempty and the required sets
+        left after x are none or the last image."""
         if need:
             if need.bit_count() > len(steps) - k:
                 return False
@@ -338,12 +339,11 @@ class RainbowKernel:
             return bool(cand)
         last = k + 2 == len(steps)
         cut, link = free, None
-        if last:  # the last image's cut by the images before x, built once
-            for table, j in steps[k + 1]:
-                if j > k:  # the image x, which step k places
-                    link = table
-                else:
-                    cut &= table[imgs[j]]
+        for table, j in steps[k + 1]:
+            if j > k:  # the image x, which step k places
+                link = table
+            else:
+                cut &= table[imgs[j]]
         for cm in self.color_mask:
             m = cand & cm
             if not m:
@@ -351,22 +351,23 @@ class RainbowKernel:
             rest = cut & ~cm
             if not rest:
                 continue
+            if not last:
+                child_free = free & ~cm
             while m:
                 low = m & -m
                 x = low.bit_length() - 1
-                # need is 0 outside copy_using: skip a big-int ~low per candidate
-                left = need & ~low if need else 0
-                if last:
-                    hit = rest if link is None else rest & link[x]
-                    if left:
-                        hit &= left
-                    if hit:
-                        return True
-                else:
-                    imgs.append(x)
-                    if self._extend(steps, k + 1, imgs, rest, left):
-                        return True
-                    imgs.pop()
+                hit = rest if link is None else rest & link[x]
+                if hit:
+                    # need is 0 outside copy_using: skip a big-int ~low per candidate
+                    left = need & ~low if need else 0
+                    if last:
+                        if not left or hit & left:
+                            return True
+                    else:
+                        imgs.append(x)
+                        if self._extend(steps, k + 1, imgs, child_free, left):
+                            return True
+                        imgs.pop()
                 m ^= low
         return False
 

@@ -29,7 +29,7 @@ from .constructions import (chain_interval_coloring, incomparable_traces,
                             lift3_coloring, p3_total_coloring, pk_coloring)
 from .kernel import antichain_reach, complete, completion_plans, mask_tables
 from .lattice import (CANONICAL_CAP, all_subset_permutation_tables, check_dimension,
-                      comparable, full_set, submasks_ascending)
+                      check_subset_id, comparable, full_set, submasks_ascending)
 from .posets import ISO_CAP, Poset, antichain, build_poset, chain, diamond, vee, wedge
 
 
@@ -438,9 +438,10 @@ def az_decompose(n: int, families) -> ChainDecomposition | None:
     families (Ahlswede-Zhang style): family i lives on the chain itself plus
     the open intervals indexed by its part.
 
-    The hypothesis (every cross pair of sets from two distinct families is
-    comparable) is checked first; a violation is an error naming the pair.
-    When the hypothesis holds a decomposition always exists.
+    A subset id outside 0..2^n - 1 is an error naming it.  The hypothesis
+    (every cross pair of sets from two distinct families is comparable) is
+    checked next; a violation is an error naming the pair.  When the
+    hypothesis holds a decomposition always exists.
 
     The chains (one per ordered set partition of [n]; tops prev | b for the
     nonempty submasks b of the rest, ascending) are searched depth first.
@@ -456,6 +457,9 @@ def az_decompose(n: int, families) -> ChainDecomposition | None:
     families = [sorted(set(f)) for f in families]
     if not families:
         raise ValueError("need at least one family")
+    for fam in families:
+        for f in fam:
+            check_subset_id(f, n)
     for i in range(len(families)):
         for j in range(i + 1, len(families)):
             for fi in families[i]:
@@ -465,10 +469,8 @@ def az_decompose(n: int, families) -> ChainDecomposition | None:
                             f"hypothesis violated: families {i + 1} and {j + 1} "
                             f"contain the incomparable pair ({fi}, {fj})")
     full = full_set(n)
-    # the empty set lies on every chain; a set outside the ground set on none
+    # the empty set lies on every chain
     waiting = [(f, i) for i, fam in enumerate(families) for f in fam if f]
-    if any(f & ~full for f, _ in waiting):
-        return None
     # owners[h - 1]: the family owning (chain[h - 1], chain[h]), or -1
     chain, owners = [0], []
 

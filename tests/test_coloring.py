@@ -1,6 +1,7 @@
 """Coloring statistics and rainbow validation against the tuple oracle."""
 
 import random
+import re
 import warnings
 from functools import lru_cache
 
@@ -327,6 +328,30 @@ def test_out_of_range_color_names_first_bad_value(c, data):
     first = assign[min(spots)]
     with pytest.raises(ValueError, match=f"^color {first} outside 0..{c.l}$"):
         Coloring(c.n, c.l, assign)
+
+
+@st.composite
+def mixed_assignments(draw):
+    """(n, l, assign): colors in 0..l, True and 1.0, and in half the draws
+    also negatives, l + 1, 255 and 256."""
+    n = draw(st.integers(1, 4))
+    l = draw(st.sampled_from((1, 2, 254, 255, 256, 300)))
+    value = st.one_of(st.integers(0, l), st.sampled_from((True, 1.0)))
+    if draw(st.booleans()):
+        value = st.one_of(value, st.integers(-3, -1), st.sampled_from((l + 1, 255, 256)))
+    return n, l, draw(st.lists(value, min_size=1 << n, max_size=1 << n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_assignments())
+def test_range_check_agrees_with_the_set_of_values(case):
+    n, l, assign = case
+    if all(0 <= v <= l for v in set(assign)):
+        assert Coloring(n, l, assign).assign is assign
+    else:
+        first = next(v for v in assign if not 0 <= v <= l)
+        with pytest.raises(ValueError, match=f"^color {re.escape(str(first))} outside 0..{l}$"):
+            Coloring(n, l, assign)
 
 
 def test_canonicalize_coloring():

@@ -11,6 +11,7 @@ from rainbow_lattice.constructions import (ChainFamily, chain_family_coloring,
                                            incomparable_traces, lift3_coloring,
                                            p3_total_coloring, pk_coloring,
                                            random_chain_family, trial_seed)
+from rainbow_lattice.experiments import CONSTRUCTIONS, build_construction
 from rainbow_lattice.lattice import comparable, full_set, subset_of
 
 
@@ -357,3 +358,33 @@ def test_every_materialized_report_validates_n_up_to_8():
     for rep in reports:
         assert validate(rep.coloring, rep.forbidden) is None, rep.name
         assert class_stats(rep.coloring).min_size >= rep.claimed_min, rep.name
+
+
+# parameters for each construction type; a (type, n) they do not apply to is skipped
+CONSTRUCTION_PARAMS = {
+    "traces": [{"l": l, "total": total} for l in (2, 3, 4, 6) for total in (False, True)
+               if l >= 3 or not total],
+    "chain": [{"l": l} for l in (2, 3, 4)],
+    "congen": [{"k": 3, "l": 2, "seed": 1}, {"k": 4, "l": 3, "seed": 2}],
+    "lift3": [{"variant": v} for v in ("three_color", "four_color")],
+    "p3": [{}],
+    "pk": [{"k": k} for k in (4, 5, 7)],
+}
+
+
+def test_uncolored_count_matches_the_materialized_coloring():
+    # the generators count their uncolored sets from what they place
+    assert set(CONSTRUCTION_PARAMS) == set(CONSTRUCTIONS)
+    for kind, cases in CONSTRUCTION_PARAMS.items():
+        built = 0
+        for n in range(1, 13):
+            for params in cases:
+                try:
+                    rep = build_construction(kind, n, params)
+                except ValueError:
+                    continue
+                built += 1
+                assert rep.uncolored == rep.coloring.assign.count(0), (kind, n, params)
+                assert sum(rep.class_sizes) + rep.uncolored == 1 << n, (kind, n, params)
+                assert class_stats(rep.coloring).sizes == rep.class_sizes, (kind, n, params)
+        assert built >= 10, kind

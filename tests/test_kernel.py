@@ -9,6 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from rainbow_lattice.coloring import PosetFamily, validate
+from rainbow_lattice.constructions import lift3_coloring
 from rainbow_lattice.kernel import (_TABLE_BITS, RainbowKernel, antichain_reach,
                                     completion_plans, mask_tables)
 from rainbow_lattice.lattice import ENUMERATION_CAP, comparable, is_subset
@@ -153,6 +155,23 @@ def test_n5_scan_and_through_match_oracle(seed, spec, mode, l, monkeypatch):
             want = oracle_has_rainbow(assign, [t for t in tuples if s in t])
             assert kernel.through(s) == want
     assert "".join(calls) == N5_CASES[seed, spec, mode, l]
+
+
+def test_copy_search_calls_on_the_four_color_lift3(monkeypatch):
+    # a valid coloring makes the search try everything; an x that leaves the
+    # next image no candidate is skipped without a call
+    calls = 0
+    extend = RainbowKernel._extend
+
+    def counting(self, *args):
+        nonlocal calls
+        calls += 1
+        return extend(self, *args)
+
+    monkeypatch.setattr(RainbowKernel, "_extend", counting)
+    rep = lift3_coloring(10, "four_color")
+    assert validate(rep.coloring, PosetFamily.from_spec("D2")) is None
+    assert calls == 14_146
 
 
 @st.composite

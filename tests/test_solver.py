@@ -514,6 +514,12 @@ class TestAzDecompose:
         with pytest.raises(ValueError, match="incomparable pair"):
             az_decompose(3, [[0b001], [0b010]])
 
+    def test_id_outside_the_lattice_is_an_error(self):
+        with pytest.raises(ValueError, match=r"^subset id 9 outside B_3$"):
+            az_decompose(3, [[9]])
+        with pytest.raises(ValueError, match=r"^subset id -1 outside B_2$"):
+            az_decompose(2, [[-1]])
+
     def test_single_family(self):
         dec = az_decompose(3, [[0b001, 0b010, 0b101]])
         assert dec is not None
@@ -580,17 +586,23 @@ def housed_families(draw):
 
 @st.composite
 def raw_families(draw):
-    """(n, families): one to three lists of arbitrary subset ids at n <= 5."""
+    """(n, families): one to three lists of arbitrary ids at n <= 5, a few
+    of them outside B_n."""
     n = draw(st.integers(1, 5))
-    ids = st.lists(st.integers(0, full_set(n)), max_size=4)
+    ids = st.lists(st.integers(-2, full_set(n) + 2), max_size=4)
     return n, draw(st.lists(ids, min_size=1, max_size=3))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(housed_families(), raw_families()))
 def test_az_decompose_is_the_oracles_first_chain(case):
+    # the oracle assumes ids inside B_n; one outside is an error naming the
+    # first, in family order and ascending within a family
     n, families = case
-    assert _outcome(az_decompose, n, families) == _outcome(oracle_az_decompose, n, families)
+    outside = [f for fam in families for f in sorted(set(fam)) if not 0 <= f <= full_set(n)]
+    want = (f"subset id {outside[0]} outside B_{n}" if outside
+            else _outcome(oracle_az_decompose, n, families))
+    assert _outcome(az_decompose, n, families) == want
 
 
 class TestCrossSperner:
