@@ -12,6 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, log2, prod
 
+from .coloring import PosetFamily
+from .posets import builtin_name
+
 
 @dataclass(frozen=True)
 class FormulaValue:
@@ -187,21 +190,23 @@ def eq_sweep(l_max: int) -> list[tuple[int, int]]:
     return bad
 
 
-def _normalize_family_key(forbidden_spec: str) -> tuple[str, ...]:
-    return tuple(sorted(tok.strip().upper() for tok in forbidden_spec.split(",") if tok.strip()))
-
-
 def known_value(n: int, l: int, forbidden_spec: str, kind: str = "partial") -> FormulaValue:
     """Exact value when some known theorem covers (n, l, family, kind).
 
-    kind is "partial" (uncolored sets allowed) or "total".  Values carry a
-    source tag and a caveat when small-n exhaustive search is known to
-    disagree.  Anything uncovered comes back not-applicable.
+    kind is "partial" (uncolored sets allowed) or "total".  The family may
+    be spelled any way PosetFamily.from_spec reads (builtin names in any
+    order, "+"-sums, JSON objects): its members are recognised by
+    posets.builtin_name, and a malformed spec is a ValueError.  Values carry
+    a source tag and a caveat when small-n exhaustive search is known to
+    disagree.  Anything uncovered, a member that is no builtin included,
+    comes back not-applicable.
     """
     if kind not in ("partial", "total"):
         raise ValueError(f"unknown kind {kind!r}")
-    key = _normalize_family_key(forbidden_spec)
-    na = FormulaValue(None, False, f"no covering theorem for (n={n}, l={l}, {key}, {kind})")
+    names = [builtin_name(p) for p in PosetFamily.from_spec(forbidden_spec).members]
+    key = () if None in names else tuple(sorted(names))
+    na = FormulaValue(None, False, "no covering theorem for "
+                      f"(n={n}, l={l}, {','.join(key) or forbidden_spec}, {kind})")
 
     if key == ("A2",):
         if kind == "total":

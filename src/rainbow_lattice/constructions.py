@@ -17,8 +17,7 @@ from .bounds import equipartition_a, formula_A2, m_of_l
 from .coloring import Coloring, PosetFamily
 from .lattice import (check_dimension, full_set, is_proper_subset, is_subset,
                       submasks_ascending, subset_of)
-from .posets import (Poset, antichain, chain, diamond, is_vee_shape, is_wedge_shape,
-                     vee, wedge)
+from .posets import antichain, chain, diamond, vee, wedge
 
 
 @dataclass(frozen=True)
@@ -88,31 +87,7 @@ def trial_seed(seed: int, index: int) -> int:
 # fixed-trace construction
 
 
-def _trace_certifiable_partial(p: Poset, l: int) -> bool:
-    # rainbow tuples here are always antichains, so only antichain members
-    # that fit in l colors could ever appear
-    return p.size > l or not p.is_antichain()
-
-
-def _trace_certifiable_total(p: Poset, l: int) -> bool:
-    if p.size > l:
-        return True
-    big = [c for c in p.components() if len(c) >= 2]
-    if len(big) >= 2:
-        return True
-    if not big:
-        return False  # antichains are realizable
-    sub = Poset(len(big[0]), _restrict(p, sorted(big[0])))
-    return not (is_vee_shape(sub) or is_wedge_shape(sub))
-
-
-def _restrict(p: Poset, elems: list[int]) -> list[tuple[int, int]]:
-    pos = {e: i for i, e in enumerate(elems)}
-    return [(pos[i], pos[j]) for i, j in p.less if i in pos and j in pos]
-
-
-def incomparable_traces(n: int, l: int, total: bool = False,
-                        forbidden: PosetFamily | None = None) -> ConstructionReport:
+def incomparable_traces(n: int, l: int, total: bool = False) -> ConstructionReport:
     """Color sets by their trace on a short prefix of the ground line.
 
     Partial mode fixes l half-size subsets S_i of [m(l)] and colors F with i
@@ -120,8 +95,10 @@ def incomparable_traces(n: int, l: int, total: bool = False,
     rainbow tuples are forced to be antichains.  Total mode uses l-1 trace
     classes over [m(l-1)] plus one class for everything else.
 
-    A supplied forbidden family is certified structurally; families the
-    trace argument cannot certify are refused.
+    The declared family is the weak comparable pair in partial mode and the
+    induced chain of 3 in total mode (a chain meets at most one trace
+    class).  A caller seeding another family, in any spelling, checks the
+    coloring against it with the detector.
     """
     if l < 2:
         raise ValueError("need l >= 2")
@@ -133,14 +110,6 @@ def incomparable_traces(n: int, l: int, total: bool = False,
         raise ValueError(f"prefix length m={m} exceeds n={n}")
     check_dimension(n)
 
-    if forbidden is None:
-        forbidden = (PosetFamily((chain(3),), "induced") if total
-                     else PosetFamily((chain(2),), "weak"))
-    check = _trace_certifiable_total if total else _trace_certifiable_partial
-    for p in forbidden.members:
-        if not check(p, l):
-            raise ValueError(f"trace construction cannot certify validity against {p!r}")
-
     classes = l - 1 if total else l
     traces = [subset_of(c) for c in combinations(range(1, m + 1), m // 2)][:classes]
     trace_color = {t: i + 1 for i, t in enumerate(traces)}
@@ -151,7 +120,9 @@ def incomparable_traces(n: int, l: int, total: bool = False,
     per = [pattern.count(c) << (n - m) for c in range(1, l + 1)]
     claimed = 2 ** (n - m)
     return ConstructionReport(
-        name="traces", n=n, l=l, forbidden=forbidden, certificate="structural",
+        name="traces", n=n, l=l, certificate="structural",
+        forbidden=(PosetFamily((chain(3),), "induced") if total
+                   else PosetFamily((chain(2),), "weak")),
         claimed_min=claimed, class_sizes=tuple(per), uncolored=pattern.count(0) << (n - m),
         coloring=col, formula_min=claimed,
         params={"total": total, "m": m, "traces": traces},

@@ -14,6 +14,7 @@ from itertools import permutations
 from .lattice import comparable, is_proper_subset, is_subset, submasks_ascending
 
 ISO_CAP = 8  # canonical forms minimize over all relabelings; p! grows fast
+MAX_POSET_SIZE = 1024  # the transitive closure takes size^2 steps
 
 _BUILTIN = re.compile(r"^([APVW])([0-9]+)$")
 
@@ -26,6 +27,8 @@ class Poset:
     def __init__(self, size: int, relations=(), name: str | None = None):
         if size < 1:
             raise ValueError("poset must be nonempty")
+        if size > MAX_POSET_SIZE:
+            raise ValueError(f"poset of {size} elements exceeds the cap of {MAX_POSET_SIZE}")
         below = [set() for _ in range(size)]
         for i, j in relations:
             if not (0 <= i < size and 0 <= j < size):
@@ -121,17 +124,17 @@ def antichain(k: int) -> Poset:
 
 
 def chain(k: int) -> Poset:
-    return Poset(k, [(i, i + 1) for i in range(k - 1)], name=f"P{k}")
+    return Poset(k, ((i, i + 1) for i in range(k - 1)), name=f"P{k}")
 
 
 def vee(k: int) -> Poset:
     """One bottom element below k pairwise incomparable tops."""
-    return Poset(k + 1, [(0, i) for i in range(1, k + 1)], name=f"V{k}")
+    return Poset(k + 1, ((0, i) for i in range(1, k + 1)), name=f"V{k}")
 
 
 def wedge(k: int) -> Poset:
     """One top element above k pairwise incomparable bottoms."""
-    return Poset(k + 1, [(i, 0) for i in range(1, k + 1)], name=f"W{k}")
+    return Poset(k + 1, ((i, 0) for i in range(1, k + 1)), name=f"W{k}")
 
 
 def diamond() -> Poset:
@@ -192,20 +195,30 @@ def build_poset(spec) -> Poset:
     return built[0] if len(built) == 1 else disjoint_sum(built)
 
 
-def is_vee_shape(poset: Poset) -> bool:
-    """True iff the poset is some Vk (a 2-chain counts, k=1)."""
-    if poset.size < 2:
-        return False
-    for a in range(poset.size):
-        want = frozenset((a, b) for b in range(poset.size) if b != a)
-        if poset.less == want:
-            return True
-    return False
-
-
-def is_wedge_shape(poset: Poset) -> bool:
-    """True iff the poset is some Wk, the dual of a Vk."""
-    return is_vee_shape(poset.dual())
+def builtin_name(poset: Poset) -> str | None:
+    """Name of the builtin poset isomorphic to this one (Ak, Pk, Vk, Wk or
+    D2), or None.  Where builtins coincide the first of A, P, V, W wins:
+    A1 = P1 is "A1" and V1 = W1 = P2 is "P2".  Read off the relation count
+    and each element's count of smaller elements, so no relabeling is tried.
+    """
+    k, rels = poset.size, len(poset.less)
+    if not rels:
+        return f"A{k}"
+    if rels == k * (k - 1) // 2:  # every pair comparable
+        return f"P{k}"
+    below = [0] * k
+    for _, j in poset.less:
+        below[j] += 1
+    if rels == k - 1:
+        # every relation meets an element comparable to all others: a fork
+        # when it is below them, a join when above
+        for e in range(k):
+            if poset.degree(e) == k - 1:
+                return f"V{k - 1}" if below[e] == 0 else f"W{k - 1}"
+    if k == 4 and sorted(below) == [0, 1, 1, 3]:
+        # a top above all three others, and two elements above only the bottom
+        return "D2"
+    return None
 
 
 def _embedding_order(poset: Poset) -> list[int]:

@@ -30,7 +30,7 @@ from .constructions import (chain_interval_coloring, incomparable_traces,
 from .kernel import antichain_reach, complete, completion_plans, mask_tables
 from .lattice import (CANONICAL_CAP, all_subset_permutation_tables, check_dimension,
                       check_subset_id, comparable, full_set, submasks_ascending)
-from .posets import ISO_CAP, Poset, antichain, build_poset, chain, diamond, vee, wedge
+from .posets import antichain, builtin_name
 
 
 class BudgetExceeded(Exception):
@@ -278,13 +278,9 @@ def _equal_split_coloring(n: int, l: int, kind: str) -> Coloring:
     return Coloring(n, l, assign)
 
 
-def _iso(p: Poset, q: Poset) -> bool:
-    return p.size == q.size and p.size <= ISO_CAP and p.is_isomorphic_to(q)
-
-
-# (n, colors, induced one-member spec, kind) -> (value, the search's own least
-# witness at that optimum, as an unseeded solve finds it).  Seeded with one,
-# a solve has only opt + 1 left to refute.
+# (n, colors, builtin_name of the one induced member, kind) -> (value, the
+# search's own least witness at that optimum, as an unseeded solve finds it).
+# Seeded with one, a solve has only opt + 1 left to refute.
 WITNESSES = {
     (5, 3, "A3", "partial"): (7, (1, 0, 1, 0, 1, 0, 2, 0, 1, 0, 2, 0, 2, 0, 2, 3,
                                   1, 0, 2, 0, 2, 0, 3, 3, 2, 0, 3, 3, 3, 3, 1, 1)),
@@ -301,46 +297,41 @@ def instance_label(n: int, l: int, spec: str, kind: str) -> str:
 
 def _construction_seed(n: int, l: int, forbidden: PosetFamily, kind: str):
     """Best valid lower-bound witness any generator or WITNESSES entry
-    provides, or None."""
+    provides, or None.  Induced members are recognised by builtin_name, so
+    every spelling of a family (builtin names in any order, "+"-sums, JSON
+    objects) gets the same seed.  A candidate is kept only when has_rainbow
+    finds no copy of the family in it: that is the one validity check."""
     mems = forbidden.members
     induced = forbidden.mode == "induced"
+    names = sorted(builtin_name(p) or "?" for p in mems) if induced else []
     candidates = []
 
-    def attempt(fn, *args, **kwargs):
+    def attempt(fn, *args):
         try:
-            report = fn(*args, **kwargs)
+            report = fn(*args)
         except ValueError:
             return
         candidates.append((report.coloring, f"construction:{report.name}"))
 
     if induced and kind == "partial" and all(p.is_antichain() and p.size >= 2 for p in mems):
         attempt(chain_interval_coloring, n, l)
-    if induced and len(mems) == 1:
-        p = mems[0]
-        if l == 4 and _iso(p, diamond()):
-            attempt(lift3_coloring, n, "four_color")
-        if l == 3 and _iso(p, chain(3)):
-            attempt(p3_total_coloring, n)
-        if l == p.size and l >= 4 and _iso(p, chain(p.size)):
-            attempt(pk_coloring, n, l)
-    if induced and l == 3 and kind == "partial" and len(mems) == 3:
-        shapes = {chain(3).canonical_form(), vee(2).canonical_form(),
-                  wedge(2).canonical_form()}
-        if all(p.size <= ISO_CAP for p in mems) and {p.canonical_form() for p in mems} == shapes:
-            attempt(lift3_coloring, n, "three_color")
-    attempt(incomparable_traces, n, l, False, forbidden)
+    if names == ["D2"] and l == 4:
+        attempt(lift3_coloring, n, "four_color")
+    if names == ["P3"] and l == 3:
+        attempt(p3_total_coloring, n)
+    if names == [f"P{l}"] and l >= 4:
+        attempt(pk_coloring, n, l)
+    if names == ["P3", "V2", "W2"] and l == 3 and kind == "partial":
+        attempt(lift3_coloring, n, "three_color")
+    attempt(incomparable_traces, n, l)
     if kind == "total":
-        attempt(incomparable_traces, n, l, True, forbidden)
-    for (wn, wl, spec, wkind), (_, assign) in WITNESSES.items():
-        if (wn, wl, wkind) == (n, l, kind) and induced and len(mems) == 1 and _iso(
-                mems[0], build_poset(spec)):
-            candidates.append((Coloring(n, l, list(assign)),
-                               f"witness:{instance_label(n, l, spec, kind)}"))
+        attempt(incomparable_traces, n, l, True)
+    if len(names) == 1 and (key := (n, l, names[0], kind)) in WITNESSES:
+        candidates.append((Coloring(n, l, list(WITNESSES[key][1])),
+                           f"witness:{instance_label(*key)}"))
 
     best = None
     for col, source in candidates:
-        if col is None or col.l != l:
-            continue
         if kind == "total" and not col.is_total():
             continue
         if has_rainbow(col, forbidden):
@@ -363,7 +354,8 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
     downgrades the status to lower_bound_only; it never yields a wrong
     "optimal", `value` keeps the best class size found so far and `upper`
     is that root bound, since a pass cut short proves nothing above its
-    incumbent.  Witnesses found by search are the lexicographically least
+    incumbent.  Budget 0 runs the set-up and seeding only; a negative
+    budget is an error.  Witnesses found by search are the lexicographically least
     valid assignment at the optimum; a witness taken straight from a
     construction or from WITNESSES is reported via seed_source, and
     use_construction_seed=False turns both seeds off.
@@ -373,6 +365,8 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
     check_dimension(n)
     if l < 1:
         raise ValueError("need at least one color")
+    if budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {budget}")
     if kind not in ("partial", "total"):
         raise ValueError(f"unknown kind {kind!r}")
     size = 1 << n

@@ -534,6 +534,8 @@ def verify_suite(profile: str = "quick", seed: int = DEFAULT_SEED,
     full-only claims appear as SKIPPED-budget in the quick profile."""
     if profile not in ("quick", "full"):
         raise ValueError(f"unknown profile {profile!r}")
+    if budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {budget}")
     full = profile == "full"
     entries = []
     for spec in _CLAIMS:

@@ -224,3 +224,25 @@ def test_known_value_table():
     assert known_value(10, 5, "P5").value == 1024 // 5
     with pytest.raises(ValueError):
         known_value(3, 2, "A2", "half")
+
+
+def test_known_value_reads_any_spelling():
+    # members are recognised up to isomorphism, so every spelling of a
+    # family keys the same theorem
+    p2 = '{"size": 2, "relations": [[0, 1]]}'
+    assert known_value(4, 2, p2) == known_value(4, 2, "P2")
+    assert known_value(6, 2, p2).value == 16
+    d2 = '{"size": 4, "relations": [[3, 1], [3, 2], [1, 0], [2, 0]]}'
+    assert known_value(6, 4, d2).value == 16
+    assert known_value(3, 3, f'V2, {{"size": 3, "relations": [[2, 0], [0, 1]]}},w2').value == 2
+    assert known_value(5, 2, "A1+A1").value == known_value(5, 2, "a2").value == 5
+    # a member that is no builtin is covered by no theorem, and the note
+    # names the family as given
+    fv = known_value(5, 3, "P2+A1")
+    assert not fv.applicable and fv.condition_note == \
+        "no covering theorem for (n=5, l=3, P2+A1, partial)"
+    assert known_value(7, 3, "v2").condition_note == \
+        "no covering theorem for (n=7, l=3, V2, partial)"
+    for spec in ("X9", "P0", "", '{"size": 2, "relations": [[0, 1], [1, 0]]}', '{"size": 2'):
+        with pytest.raises(ValueError):
+            known_value(4, 2, spec)

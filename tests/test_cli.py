@@ -153,6 +153,33 @@ def test_cli_error_paths(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (("solve", "--n", "3", "--colors", "2", "--forbid", "A2", "--budget", "-5"), "budget"),
+    (("verify", "--budget", "-1"), "budget"),
+    (("detect", "--family", "[1, 2]", "--poset", "A999999"), "cap of 1024"),
+    (("bounds", "--op", "known", "--n", "4", "--l", "2", "--forbid", "X9"), "X9"),
+])
+def test_out_of_range_input_exits_2(argv, needle, capsys):
+    # a negative node budget would report a solve it never ran, and a poset
+    # beyond the size cap would take hours to close
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and needle in captured.err
+
+
+def test_budget_zero_is_a_set_up_call(capsys):
+    assert run_cli("solve", "--n", "4", "--colors", "2", "--forbid", "A2", "--budget", "0") == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["status"], out["value"], out["nodes_explored"]) == ("lower_bound_only", 3, 0)
+
+
+def test_known_value_of_an_explicit_object(capsys):
+    assert run_cli("bounds", "--op", "known", "--n", "6", "--l", "2",
+                   "--forbid", '{"size": 2, "relations": [[0, 1]]}') == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["applicable"] and out["value"] == 16
+
+
 @pytest.mark.parametrize("argv, flag", [
     (("detect",), "--coloring"),
     (("detect", "--coloring", "missing.json"), "--forbid"),

@@ -45,26 +45,22 @@ class TestTraces:
 
     def test_refusals(self):
         with pytest.raises(ValueError):
-            incomparable_traces(4, 2, forbidden=PosetFamily.from_spec("A2"))
-        with pytest.raises(ValueError):
-            incomparable_traces(4, 3, total=True, forbidden=PosetFamily.from_spec("V2"))
-        with pytest.raises(ValueError):
-            incomparable_traces(4, 3, total=True, forbidden=PosetFamily.from_spec("A2"))
-        with pytest.raises(ValueError):
             incomparable_traces(4, 2, total=True)   # l=2 total degenerates
         with pytest.raises(ValueError):
             incomparable_traces(2, 4)               # m(4)=4 > n
 
     def test_certified_families_accepted(self):
-        rep = incomparable_traces(4, 2, forbidden=PosetFamily.from_spec("P2", "weak"))
-        assert validate(rep.coloring, rep.forbidden) is None
-        rep = incomparable_traces(4, 3, total=True,
-                                  forbidden=PosetFamily.from_spec("D2,P3"))
-        assert validate(rep.coloring, rep.forbidden) is None
+        # the declared families, and others the detector finds no copy of
+        rep = incomparable_traces(4, 2)
+        assert (rep.forbidden.spec_string(), rep.forbidden.mode) == ("P2", "weak")
+        rep = incomparable_traces(4, 3, total=True)
+        assert (rep.forbidden.spec_string(), rep.forbidden.mode) == ("P3", "induced")
         # two non-singleton components cannot appear either
-        rep = incomparable_traces(4, 3, total=True,
-                                  forbidden=PosetFamily.from_spec("P2+P2"))
-        assert validate(rep.coloring, rep.forbidden) is None
+        for spec in ("D2,P3", "P2+P2"):
+            assert validate(rep.coloring, PosetFamily.from_spec(spec)) is None
+        # and the detector does find what the trace argument cannot exclude
+        assert validate(rep.coloring, PosetFamily.from_spec("V2")) is not None
+        assert validate(incomparable_traces(4, 2).coloring, PosetFamily.from_spec("A2")) is not None
 
 
 class TestChainInterval:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbow_lattice.lattice import full_set, subset_of
-from rainbow_lattice.posets import Poset, build_poset, find_copy
+from rainbow_lattice.posets import MAX_POSET_SIZE, Poset, build_poset, builtin_name, find_copy
 from oracles import naive_find_copy
 
 POSET_SPECS = ["A2", "A3", "P2", "P3", "V2", "W2", "D2"]
@@ -171,14 +171,60 @@ def test_against_all_injections_oracle_exhaustive_b3():
                     assert got == want, (family, p.name, mode)
 
 
-def test_vee_wedge_shapes():
-    from rainbow_lattice.posets import is_vee_shape, is_wedge_shape
-    assert is_vee_shape(build_poset("V3"))
-    assert is_vee_shape(build_poset("P2"))     # V1 is the comparable pair
-    assert is_wedge_shape(build_poset("P2"))
-    assert not is_vee_shape(build_poset("D2"))
-    assert not is_wedge_shape(build_poset("P3"))
-    assert not is_vee_shape(build_poset("A3"))
+def test_builtin_name_of_every_builtin():
+    # where builtins coincide the first of A, P, V, W wins
+    for k in range(1, 7):
+        assert builtin_name(build_poset(f"A{k}")) == f"A{k}"
+        assert builtin_name(build_poset(f"P{k}")) == ("A1" if k == 1 else f"P{k}")
+        for kind in "VW":
+            assert builtin_name(build_poset(f"{kind}{k}")) == ("P2" if k == 1 else f"{kind}{k}")
+    assert builtin_name(build_poset("D2")) == "D2"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_builtin_name_ignores_labels(data):
+    spec = data.draw(st.sampled_from(POSET_SPECS + ["A1", "A5", "P5", "V4", "W3", "A2+A1"]))
+    p = build_poset(spec)
+    perm = data.draw(st.permutations(range(p.size)))
+    obj = {"size": p.size, "relations": [[perm[i], perm[j]] for i, j in sorted(p.less)]}
+    assert builtin_name(build_poset(json.dumps(obj))) == builtin_name(p) is not None
+
+
+@pytest.mark.parametrize("spec", [
+    "P2+A1", "V2+A1", "P2+P2", "A1+D2",
+    '{"size": 4, "relations": [[0, 2], [1, 2], [1, 3]]}',   # N
+    '{"size": 4, "relations": [[0, 1], [1, 2], [1, 3]]}',   # a chain below a fork
+    '{"size": 4, "relations": [[2, 1], [3, 1], [1, 0]]}',   # its dual
+])
+def test_builtin_name_of_non_builtins_is_none(spec):
+    assert builtin_name(build_poset(spec)) is None
+
+
+def test_builtin_name_agrees_with_isomorphism_up_to_four_elements():
+    # every labelled poset on 1..4 elements gets the first builtin it is
+    # isomorphic to, in the order A, P, V, W, D2, or None
+    for size in range(1, 5):
+        names = [f"A{size}", f"P{size}"] + ([f"V{size - 1}", f"W{size - 1}"] if size > 1 else [])
+        names += ["D2"] if size == 4 else []
+        refs = [(name, build_poset(name)) for name in names]
+        pairs = [(i, j) for i in range(size) for j in range(size) if i != j]
+        for bits in range(1 << len(pairs)):
+            try:
+                p = Poset(size, [pr for t, pr in enumerate(pairs) if bits >> t & 1])
+            except ValueError:
+                continue  # a cycle
+            want = next((name for name, q in refs if p.is_isomorphic_to(q)), None)
+            assert builtin_name(p) == want, sorted(p.less)
+
+
+def test_size_cap():
+    assert build_poset(f"A{MAX_POSET_SIZE}").size == MAX_POSET_SIZE
+    for spec in (f"A{MAX_POSET_SIZE + 1}", f"V{MAX_POSET_SIZE}", "P999999999999",
+                 f"A{MAX_POSET_SIZE // 2 + 1}+A{MAX_POSET_SIZE // 2}",
+                 {"size": MAX_POSET_SIZE + 1}):
+        with pytest.raises(ValueError, match=f"cap of {MAX_POSET_SIZE}"):
+            build_poset(spec)
 
 
 def test_poset_repr_and_names():

@@ -453,6 +453,8 @@ class TestSolveContract:
         # budget 0 is a set-up call: no node, no error
         none = solve_min_class(4, 2, fam, budget=0)
         assert (none.status, none.value, none.nodes_explored) == ("lower_bound_only", 3, 0)
+        with pytest.raises(ValueError, match="budget"):
+            solve_min_class(4, 2, fam, budget=-1)
 
     def test_oversized_family_trivial_cap(self):
         with warnings.catch_warnings(record=True) as caught:
@@ -479,6 +481,28 @@ class TestSolveContract:
                                 use_construction_seed=False)
             assert a.value == b.value
             assert a.witness.assign == b.witness.assign
+
+    _D2 = '{"size": 4, "relations": [[3, 1], [3, 2], [1, 0], [2, 0]]}'
+    _P3 = '{"size": 3, "relations": [[2, 0], [0, 1]]}'
+
+    @pytest.mark.parametrize("n, l, kind, spellings, source, budget", [
+        (4, 4, "partial", ["D2", _D2], "construction:lift3", 10 ** 9),
+        (4, 3, "total", ["P3", _P3], "construction:p3", 10 ** 9),
+        (4, 4, "partial", ["P4", '{"size": 4, "relations": [[3, 0], [1, 3], [2, 1]]}'],
+         "construction:pk", 10 ** 9),
+        (4, 3, "partial", ["P3,V2,W2", "W2,P3,V2", '{"size": 3, "relations": [[1, 0], [1, 2]]}'
+                           f',{_P3},W2'], "construction:lift3", 10 ** 9),
+        # budget 0: the seed alone, without the 431,969-node refutation of 8
+        (5, 3, "partial", ["A3", "A2+A1", '{"size": 3, "relations": []}'],
+         "witness:f(5,3,A3)", 0),
+    ])
+    def test_every_spelling_solves_alike(self, n, l, kind, spellings, source, budget):
+        # members are recognised up to isomorphism: the same seed, search
+        # and witness whatever the spelling
+        runs = [solve_min_class(n, l, PosetFamily.from_spec(spec), kind=kind,
+                                budget=budget).to_json_dict() for spec in spellings]
+        assert runs[0]["seed_source"] == source
+        assert all(run == runs[0] for run in runs[1:])
 
     def test_json_shape(self):
         res = solve_min_class(2, 2, PosetFamily.from_spec("A2"))
