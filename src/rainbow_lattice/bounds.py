@@ -47,7 +47,9 @@ def formula_A2(n: int, l: int) -> FormulaValue:
     pair, under the hypothesis l*log2(l) <= n (checked integer-exactly)."""
     if l < 1 or n < 1:
         raise ValueError("need positive n and l")
-    if l ** l > 2 ** n:
+    # for l >= 2, l > n already gives l^l >= 2^l > 2^n: the powers are
+    # computed only when l <= n, so a huge l answers at once
+    if l > n or l ** l > 2 ** n:
         return FormulaValue(None, False, f"requires l*log2(l) <= n; fails for (n={n}, l={l})",
                             source="l-color incomparable-pair formula")
     a = equipartition_a(n, l)

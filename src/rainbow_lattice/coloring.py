@@ -27,8 +27,7 @@ class Coloring:
 
     def __post_init__(self):
         lattice.check_dimension(self.n)
-        if self.l < 1:
-            raise ValueError(f"need at least one color, got l={self.l}")
+        lattice.check_colors(self.l)
         if len(self.assign) != 1 << self.n:
             raise ValueError(f"assignment length {len(self.assign)} != 2^{self.n}")
         # deleting the bytes 0..l leaves nothing iff every color is in range;
@@ -164,22 +163,10 @@ def _applicable_members(c: Coloring, forbidden: PosetFamily, warn: bool = True):
     return out
 
 
-def _has_copy(c: Coloring, kernel: RainbowKernel, must: int | None) -> bool:
-    """Whether some member of the kernel has a rainbow copy (through must,
-    when given).  The kernel is left with every colored set available."""
-    if must is None:
-        return kernel.scan()
-    if not (0 <= must < len(c.assign) and c.assign[must]):
-        return False
-    kernel.mark_all()
-    return kernel.through(must)
-
-
-def has_rainbow(c: Coloring, forbidden: PosetFamily, containing: int | None = None) -> bool:
+def has_rainbow(c: Coloring, forbidden: PosetFamily) -> bool:
     """Fast existence check; no witness minimization, no warnings."""
     members = [p for _, p in _applicable_members(c, forbidden, warn=False)]
-    return bool(members) and _has_copy(
-        c, RainbowKernel(c.n, c.l, members, forbidden.mode, c.assign), containing)
+    return bool(members) and RainbowKernel(c.n, c.l, members, forbidden.mode, c.assign).scan()
 
 
 def _lexmin_sets(c: Coloring, poset: Poset, must: int | None, kernel: RainbowKernel):
@@ -217,7 +204,15 @@ def _best_witness(c: Coloring, forbidden: PosetFamily, must: int | None) -> Rain
     members = _applicable_members(c, forbidden)
     # one kernel for the whole family: its color masks serve every query
     kernel = RainbowKernel(c.n, c.l, [p for _, p in members], mode, c.assign)
-    if not members or not _has_copy(c, kernel, must):
+    if not members:
+        return None
+    # either test leaves every colored set available to the witness search
+    if must is None:
+        found = kernel.scan()
+    else:
+        kernel.mark_all()
+        found = kernel.through(must)
+    if not found:
         return None
     best = None
     for idx, p in members:

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .bounds import equipartition_a, formula_A2, m_of_l
 from .coloring import Coloring, PosetFamily
-from .lattice import (check_dimension, full_set, is_proper_subset, is_subset,
+from .lattice import (check_colors, check_dimension, full_set, is_proper_subset, is_subset,
                       submasks_ascending, subset_of)
 from .posets import antichain, chain, diamond, vee, wedge
 
@@ -50,14 +50,15 @@ class ChainFamily:
 
 @dataclass
 class ConstructionReport:
+    """A construction's coloring and its one size account, class_sizes:
+    the minimum and the uncolored count follow from it."""
+
     name: str
     n: int
     l: int
     forbidden: PosetFamily
     certificate: str                 # "structural" or "detector"
-    claimed_min: int
     class_sizes: tuple[int, ...]
-    uncolored: int
     coloring: Coloring | None = None
     formula_min: int | None = None   # closed-form value, when one is claimed
     params: dict = field(default_factory=dict)
@@ -67,11 +68,15 @@ class ConstructionReport:
     def min_size(self) -> int:
         return min(self.class_sizes)
 
+    @property
+    def uncolored(self) -> int:
+        return (1 << self.n) - sum(self.class_sizes)
+
     def to_json_dict(self) -> dict:
         return {
             "name": self.name, "n": self.n, "l": self.l,
             "forbidden": self.forbidden.spec_string(), "mode": self.forbidden.mode,
-            "certificate": self.certificate, "claimed_min": self.claimed_min,
+            "certificate": self.certificate, "claimed_min": self.min_size,
             "formula_min": self.formula_min, "class_sizes": list(self.class_sizes),
             "uncolored": self.uncolored, "params": self.params, "notes": self.notes,
             "coloring": self.coloring.to_json_dict() if self.coloring else None,
@@ -118,13 +123,11 @@ def incomparable_traces(n: int, l: int, total: bool = False) -> ConstructionRepo
     assign = pattern * (1 << (n - m))
     col = Coloring(n, l, assign)
     per = [pattern.count(c) << (n - m) for c in range(1, l + 1)]
-    claimed = 2 ** (n - m)
     return ConstructionReport(
         name="traces", n=n, l=l, certificate="structural",
         forbidden=(PosetFamily((chain(3),), "induced") if total
                    else PosetFamily((chain(2),), "weak")),
-        claimed_min=claimed, class_sizes=tuple(per), uncolored=pattern.count(0) << (n - m),
-        coloring=col, formula_min=claimed,
+        class_sizes=tuple(per), coloring=col, formula_min=2 ** (n - m),
         params={"total": total, "m": m, "traces": traces},
     )
 
@@ -169,8 +172,7 @@ def chain_interval_coloring(n: int, l: int) -> ConstructionReport:
     return ConstructionReport(
         name="chain", n=n, l=l,
         forbidden=PosetFamily((antichain(2),), "induced"), certificate="structural",
-        claimed_min=min(sizes), class_sizes=sizes, uncolored=(1 << n) - sum(sizes),
-        coloring=col, formula_min=formula.value,
+        class_sizes=sizes, coloring=col, formula_min=formula.value,
         params={"a": a, "chain": sets, "dims": dims},
         notes="" if min(sizes) == formula.value else
         "closed form exceeds this construction's minimum at this (n, l)",
@@ -275,8 +277,7 @@ def chain_family_coloring(cf: ChainFamily, materialize: bool = True) -> Construc
     return ConstructionReport(
         name="congen", n=n, l=colors,
         forbidden=PosetFamily((antichain(k),), "induced"), certificate="structural",
-        claimed_min=min(sizes), class_sizes=sizes,
-        uncolored=(1 << n) - sum(sizes), coloring=col,
+        class_sizes=sizes, coloring=col,
         params={"k": k, "stage_colors": l},
     )
 
@@ -329,11 +330,10 @@ def lift3_coloring(n: int, variant: str = "three_color") -> ConstructionReport:
         forb = PosetFamily((diamond(),), "induced")
     else:
         forb = PosetFamily((chain(3), vee(2), wedge(2)), "induced")
-    claimed = 2 ** (n - 2)
+    quarter = 2 ** (n - 2)
     return ConstructionReport(
         name="lift3", n=n, l=l, forbidden=forb, certificate="detector",
-        claimed_min=claimed, class_sizes=tuple([claimed] * l),
-        uncolored=0 if four else claimed, coloring=col, formula_min=claimed,
+        class_sizes=tuple([quarter] * l), coloring=col, formula_min=quarter,
         params={"variant": variant},
     )
 
@@ -352,8 +352,7 @@ def p3_total_coloring(n: int) -> ConstructionReport:
     return ConstructionReport(
         name="p3", n=n, l=3,
         forbidden=PosetFamily((chain(3),), "induced"), certificate="structural",
-        claimed_min=quarter, class_sizes=(quarter, quarter, 2 ** (n - 1)),
-        uncolored=0, coloring=col, formula_min=quarter,
+        class_sizes=(quarter, quarter, 2 ** (n - 1)), coloring=col, formula_min=quarter,
     )
 
 
@@ -367,6 +366,7 @@ def pk_coloring(n: int, k: int) -> ConstructionReport:
     if n < 2:
         raise ValueError("need n >= 2")
     check_dimension(n)
+    check_colors(k)  # before the loop over classes 3..k below
     quota = (1 << n) // k
     if 2 ** (n - 2) < quota:
         raise ValueError("side families too small for the quota")
@@ -386,7 +386,6 @@ def pk_coloring(n: int, k: int) -> ConstructionReport:
     return ConstructionReport(
         name="pk", n=n, l=k,
         forbidden=PosetFamily((chain(k),), "induced"), certificate="structural",
-        claimed_min=quota, class_sizes=tuple([quota] * k),
-        uncolored=(1 << n) - quota * k, coloring=col, formula_min=quota,
+        class_sizes=tuple([quota] * k), coloring=col, formula_min=quota,
         params={"k": k},
     )

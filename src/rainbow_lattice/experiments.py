@@ -74,7 +74,7 @@ def congen_trial_rows(n: int, k: int, l: int, trials: int, seed: int,
         check = chain_overlap_check(cf)
         rep = chain_family_coloring(cf, materialize=False)
         rows.append({"trial": t, "seed": s, "condition_pass": check["pass"],
-                     "min_class_size": rep.claimed_min})
+                     "min_class_size": rep.min_size})
     return rows
 
 

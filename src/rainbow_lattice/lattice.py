@@ -24,6 +24,14 @@ def check_dimension(n, analytic: bool = False) -> None:
         raise ValueError(f"dimension n={n!r} outside 1..{cap}")
 
 
+def check_colors(l: int) -> None:
+    """Refuse a color count outside 1..2^ENUMERATION_CAP: no coloring of an
+    enumerable B_n can use more colors than it has sets."""
+    if not 1 <= l <= 1 << ENUMERATION_CAP:
+        raise ValueError(f"color count l={l} outside 1..2^{ENUMERATION_CAP} "
+                         "(ENUMERATION_CAP)")
+
+
 def full_set(n: int) -> int:
     """The ground set {1, .., n} as a subset id."""
     return (1 << n) - 1

@@ -28,8 +28,9 @@ from .coloring import Coloring, PosetFamily, class_stats, has_rainbow, validate
 from .constructions import (chain_interval_coloring, incomparable_traces,
                             lift3_coloring, p3_total_coloring, pk_coloring)
 from .kernel import antichain_reach, complete, completion_plans, mask_tables
-from .lattice import (CANONICAL_CAP, all_subset_permutation_tables, check_dimension,
-                      check_subset_id, comparable, full_set, submasks_ascending)
+from .lattice import (CANONICAL_CAP, all_subset_permutation_tables, check_colors,
+                      check_dimension, check_subset_id, comparable, full_set,
+                      submasks_ascending)
 from .posets import antichain, builtin_name
 
 
@@ -363,8 +364,7 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
     at every n.
     """
     check_dimension(n)
-    if l < 1:
-        raise ValueError("need at least one color")
+    check_colors(l)
     if budget < 0:
         raise ValueError(f"node budget must be >= 0, got {budget}")
     if kind not in ("partial", "total"):
@@ -591,7 +591,6 @@ def greedy_tuples_and_cover(c: Coloring, k: int) -> GreedyCoverReport:
         tuples.append(t)
         for i, x in enumerate(t):
             avail[i].remove(x)
-    leftover_clean = _least_antichain_tuple(avail) is None
     uncovered = []
     for f in c.class_ids(k + 1):
         for t in tuples:
@@ -599,4 +598,6 @@ def greedy_tuples_and_cover(c: Coloring, k: int) -> GreedyCoverReport:
                 uncovered.append((f, t))
     seq = TupleSequence(tuple(tuples),
                         tuple(tuple(t[i] for t in tuples) for i in range(k)))
-    return GreedyCoverReport(seq, leftover_clean, not uncovered, tuple(uncovered))
+    # leftover_clean holds by construction: extraction ends when no tuple is left
+    return GreedyCoverReport(seq, leftover_clean=True, cover_ok=not uncovered,
+                             uncovered=tuple(uncovered))

@@ -156,26 +156,36 @@ def max_cross_sperner_product_exhaustive(n: int) -> int:
 # claim runners
 
 
-def _certified_min(rep):
+def _certified_min(rep, kind):
     """The smallest class of a construction's coloring, measured on the
-    coloring: "invalid" unless it has no rainbow copy and its class sizes
-    equal the report's class sizes and claimed minimum."""
-    if validate(rep.coloring, rep.forbidden) is not None:
-        return "invalid"
+    coloring: "invalid" unless it has no rainbow copy, its class sizes equal
+    the report's and, for kind "total", no set is uncolored."""
     stats = class_stats(rep.coloring)
-    if stats.sizes != rep.class_sizes or stats.min_size != rep.claimed_min:
+    if (stats.sizes != rep.class_sizes or (kind == "total" and stats.uncolored)
+            or validate(rep.coloring, rep.forbidden) is not None):
         return "invalid"
     return stats.min_size
 
 
-def _chain_values_claim(seed, full, budget):
-    grid = [(4, 2), (5, 2), (6, 2), (6, 3)]
-    expect = (3, 5, 7, 3)
-    got = []
-    for n, l in grid:
-        rep = chain_interval_coloring(n, l)
-        got.append(_certified_min(rep) if rep.claimed_min == rep.formula_min else "invalid")
-    return expect, tuple(got), None, ""
+def _construct_claim(build, cases, full_cases=()):
+    """A hard claim that each construction build(*args) attains the known
+    value of f (kind "partial") or F ("total") for the family it declares,
+    or its own formula_min where no theorem covers the instance.  The full
+    profile also runs full_cases."""
+    def run(seed, full, budget):
+        want, got = [], []
+        for args, kind in cases + (full_cases if full else ()):
+            rep = build(*args)
+            known = bounds.known_value(rep.n, rep.l, rep.forbidden.spec_string(), kind)
+            want.append(known.value if known.applicable else rep.formula_min)
+            got.append(_certified_min(rep, kind))
+        return tuple(want), tuple(got), None, ""
+    return run
+
+
+def _over_n(lo, hi, *params, kind="partial"):
+    """Construct-claim cases ((n, *params), kind) for n in lo..hi."""
+    return tuple(((n, *params), kind) for n in range(lo, hi + 1))
 
 
 def _two_color_formula_claim(seed, full, budget):
@@ -264,46 +274,6 @@ def _witness_table_claim(seed, full, budget):
             kind == "partial" or col.is_total())
         want[label], got[label] = value, class_stats(col).min_size if ok else "invalid"
     return want, got, None, ""
-
-
-def _traces_claim(seed, full, budget):
-    results = []
-    expect = []
-    for n, l, total in ((4, 2, False), (3, 3, False), (6, 4, False), (4, 3, True)):
-        results.append(_certified_min(incomparable_traces(n, l, total=total)))
-        m = bounds.m_of_l(l - 1 if total else l)
-        expect.append(2 ** (n - m))
-    return tuple(expect), tuple(results), None, ""
-
-
-def _pk_claim(seed, full, budget):
-    out, want = [], []
-    for n, k in ((4, 4), (4, 5), (5, 4)):
-        out.append(_certified_min(pk_coloring(n, k)))
-        want.append(2 ** n // k)
-    return tuple(want), tuple(out), None, ""
-
-
-def _lift3_claim(variant, top_n):
-    def run(seed, full, budget):
-        hi = top_n if not full else 8
-        out, want = [], []
-        for n in range(3, hi + 1):
-            out.append(_certified_min(lift3_coloring(n, variant)))
-            want.append(2 ** (n - 2))
-        return tuple(want), tuple(out), None, ""
-    return run
-
-
-def _p3_claim(seed, full, budget):
-    hi = 8 if full else 6
-    out, want = [], []
-    for n in range(2, hi + 1):
-        rep = p3_total_coloring(n)
-        sizes = (2 ** (n - 2), 2 ** (n - 2), 2 ** (n - 1))
-        out.append(_certified_min(rep) if rep.class_sizes == sizes else "invalid")
-        want.append(2 ** (n - 2))
-    return tuple(want), tuple(out), None, ""
 
 
 def _sperner_claim(seed, full, budget):
@@ -497,15 +467,26 @@ _CLAIMS: list[_ClaimSpec] = [
     _solver_claim(5, 3, "P3", full_only=True, value=8, source=_ORBIT_HALL),
     _ClaimSpec("solve/witness-table", "the search's least witnesses, checked in", True, True,
                _witness_table_claim),
-    _ClaimSpec("construct/chain-values", _KV(4, 2, "A2").source, True, False, _chain_values_claim),
+    _ClaimSpec("construct/chain-values", _KV(4, 2, "A2").source, True, False,
+               _construct_claim(chain_interval_coloring,
+                                (((4, 2), "partial"), ((5, 2), "partial"), ((6, 2), "partial"),
+                                 ((6, 3), "partial")))),
     _ClaimSpec("construct/lift3-three", _KV(3, 3, "P3,V2,W2").source, True, False,
-               _lift3_claim("three_color", 6)),
+               _construct_claim(lift3_coloring, _over_n(3, 6, "three_color"),
+                                _over_n(7, 8, "three_color"))),
     _ClaimSpec("construct/lift3-four", _KV(3, 4, "D2").source, True, False,
-               _lift3_claim("four_color", 6)),
-    _ClaimSpec("construct/p3-total", _KV(4, 3, "P3", "total").source, True, False, _p3_claim),
-    _ClaimSpec("construct/pk", _KV(4, 4, "P4").source, True, False, _pk_claim),
+               _construct_claim(lift3_coloring, _over_n(3, 6, "four_color", kind="total"),
+                                _over_n(7, 8, "four_color", kind="total"))),
+    _ClaimSpec("construct/p3-total", _KV(4, 3, "P3", "total").source, True, False,
+               _construct_claim(p3_total_coloring, _over_n(2, 6, kind="total"),
+                                _over_n(7, 8, kind="total"))),
+    _ClaimSpec("construct/pk", _KV(4, 4, "P4").source, True, False,
+               _construct_claim(pk_coloring,
+                                (((4, 4), "partial"), ((4, 5), "partial"), ((5, 4), "partial")))),
     _ClaimSpec("construct/traces", "fixed-trace cross-incomparable classes", True, False,
-               _traces_claim),
+               _construct_claim(incomparable_traces,
+                                (((4, 2), "partial"), ((3, 3), "partial"), ((6, 4), "partial"),
+                                 ((4, 3, True), "total")))),
     _ClaimSpec("sperner/B3-max", "cross-incomparable pair product bound (Ahlswede-Zhang)",
                True, False, _sperner_claim),
     _ClaimSpec("az/random-systems", "chain decomposition of cross-comparable families",

@@ -82,7 +82,7 @@ def test_c3_construction_suite():
         stats = class_stats(rep.coloring)
         if validate(rep.coloring, rep.forbidden) is not None:
             failures.append((rep.name, rep.n, rep.l, "invalid"))
-        elif not (stats.min_size == rep.claimed_min == want_min):
+        elif not (stats.min_size == rep.min_size == want_min):
             failures.append((rep.name, rep.n, rep.l, stats.min_size, want_min))
 
     for (n, l), want in {(4, 2): 3, (5, 2): 5, (6, 2): 7, (6, 3): 3}.items():
@@ -101,7 +101,7 @@ def test_c3_construction_suite():
             check(pk_coloring(n, k), 2 ** n // k)
     for seed in range(3):
         rep = chain_family_coloring(random_chain_family(8, 3, 2, seed))
-        check(rep, rep.claimed_min)
+        check(rep, rep.min_size)
     _report("C3 construction-suite", not failures, time.time() - start, 60,
             f"failures={failures}")
 

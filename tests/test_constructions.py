@@ -30,7 +30,7 @@ class TestTraces:
 
     def test_total_n4_l3(self):
         rep = incomparable_traces(4, 3, total=True)
-        assert rep.min_size == 4 == rep.claimed_min
+        assert rep.min_size == 4
         assert rep.coloring.is_total()
         assert validate(rep.coloring, rep.forbidden) is None
 
@@ -68,13 +68,13 @@ class TestChainInterval:
     def test_values(self, n, l, want):
         rep = chain_interval_coloring(n, l)
         stats = class_stats(rep.coloring)
-        assert stats.min_size == rep.claimed_min == rep.formula_min == want
+        assert stats.min_size == rep.min_size == rep.formula_min == want
         assert validate(rep.coloring, rep.forbidden) is None
 
     def test_small_n_divergence(self):
         # at (3,2) the construction's true minimum sits below the closed form
         rep = chain_interval_coloring(3, 2)
-        assert rep.claimed_min == 2
+        assert rep.min_size == 2
         assert rep.formula_min == 3
         assert class_stats(rep.coloring).min_size == 2
         assert validate(rep.coloring, rep.forbidden) is None
@@ -297,7 +297,7 @@ class TestLift3:
         for n in range(3, 8):
             for variant in ("three_color", "four_color"):
                 rep = lift3_coloring(n, variant)
-                assert rep.min_size == 2 ** (n - 2) == rep.claimed_min
+                assert rep.min_size == 2 ** (n - 2)
         with pytest.raises(ValueError):
             lift3_coloring(2)
         with pytest.raises(ValueError):
@@ -353,7 +353,7 @@ def test_every_materialized_report_validates_n_up_to_8():
         reports.append(chain_family_coloring(cf))
     for rep in reports:
         assert validate(rep.coloring, rep.forbidden) is None, rep.name
-        assert class_stats(rep.coloring).min_size >= rep.claimed_min, rep.name
+        assert class_stats(rep.coloring).min_size >= rep.min_size, rep.name
 
 
 # parameters for each construction type; a (type, n) they do not apply to is skipped
@@ -369,7 +369,8 @@ CONSTRUCTION_PARAMS = {
 
 
 def test_uncolored_count_matches_the_materialized_coloring():
-    # the generators count their uncolored sets from what they place
+    # a report's uncolored count follows from its class sizes: both must match
+    # what the generator places
     assert set(CONSTRUCTION_PARAMS) == set(CONSTRUCTIONS)
     for kind, cases in CONSTRUCTION_PARAMS.items():
         built = 0

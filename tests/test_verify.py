@@ -1,11 +1,14 @@
 """The verification battery: determinism, flag policy, report shape."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from rainbow_lattice import verify
-from rainbow_lattice.verify import DEFAULT_SEED, _congen_trend_claim, verify_suite
+from rainbow_lattice.constructions import pk_coloring
+from rainbow_lattice.verify import (DEFAULT_SEED, _certified_min, _congen_trend_claim,
+                                    verify_suite)
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +43,25 @@ def test_quick_skips_heavy_claims(quick_report):
     # the forward-checked search makes these cheap enough to run every time
     for cid in ("solve/f(4,2,A2)", "solve/f(4,2,P2)", "solve/f(5,2,A2)", "solve/f(5,2,P2)"):
         assert by_id[cid].status == "MATCH" and by_id[cid].hard
+
+
+def test_construct_claims_expect_the_known_values(quick_report):
+    # known_value where a theorem covers the instance, else formula_min
+    # (traces at (3, 3) and (6, 4))
+    by_id = {e.claim_id: e for e in quick_report.entries}
+    want = {"construct/chain-values": (3, 5, 7, 3), "construct/lift3-three": (2, 4, 8, 16),
+            "construct/lift3-four": (2, 4, 8, 16), "construct/p3-total": (1, 2, 4, 8, 16),
+            "construct/pk": (4, 3, 8), "construct/traces": (4, 1, 4, 4)}
+    for cid, values in want.items():
+        entry = by_id[cid]
+        assert (entry.expected, entry.computed, entry.status) == (values, values, "MATCH"), cid
+
+
+def test_certified_min_checks_totality_and_the_size_account():
+    rep = pk_coloring(5, 5)  # five classes of 6 sets, 2 of the 32 uncolored
+    assert _certified_min(rep, "partial") == 6
+    assert _certified_min(rep, "total") == "invalid"
+    assert _certified_min(replace(rep, class_sizes=(6, 6, 6, 6, 7)), "partial") == "invalid"
 
 
 def test_every_entry_carries_a_source(quick_report):
