@@ -17,8 +17,8 @@ from .constructions import (ChainFamily, ConstructionReport, chain_family_colori
                             chain_interval_coloring, chain_overlap_check,
                             incomparable_traces, lift3_coloring, p3_total_coloring,
                             pk_coloring, random_chain_family)
-from .lattice import (ANALYTIC_CAP, CANONICAL_CAP, ENUMERATION_CAP, Interval,
-                      comparable, cone, cone_size, format_subset, interval_members,
+from .lattice import (ANALYTIC_CAP, CANONICAL_CAP, COLOR_CAP, ENUMERATION_CAP,
+                      Interval, comparable, cone, cone_size, format_subset, interval_members,
                       interval_size, parse_subset)
 from .posets import Poset, build_poset, find_copy
 from .solver import (ChainDecomposition, CrossSpernerResult, GreedyCoverReport,
@@ -27,7 +27,7 @@ from .solver import (ChainDecomposition, CrossSpernerResult, GreedyCoverReport,
 from .verify import VerificationReport, verify_suite
 
 __all__ = [
-    "ANALYTIC_CAP", "CANONICAL_CAP", "ENUMERATION_CAP",
+    "ANALYTIC_CAP", "CANONICAL_CAP", "COLOR_CAP", "ENUMERATION_CAP",
     "ChainDecomposition", "ChainFamily", "ClassStats", "Coloring",
     "ConstructionReport", "CrossSpernerResult", "FormulaValue",
     "GreedyCoverReport", "Interval", "Poset", "PosetFamily", "RainbowWitness",

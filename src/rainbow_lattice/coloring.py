@@ -19,31 +19,32 @@ _BYTES = bytes(range(256))
 
 @dataclass
 class Coloring:
-    """Assignment of each subset id to a color in 1..l, or 0 for uncolored."""
+    """Assignment of each subset id to a color in 1..l, or 0 for uncolored:
+    `assign` is a bytearray with one byte per set."""
 
     n: int
     l: int
-    assign: list[int]
+    assign: bytearray
 
     def __post_init__(self):
         lattice.check_dimension(self.n)
         lattice.check_colors(self.l)
         if len(self.assign) != 1 << self.n:
             raise ValueError(f"assignment length {len(self.assign)} != 2^{self.n}")
-        # deleting the bytes 0..l leaves nothing iff every color is in range;
-        # values that are no byte (negative, above 255, not an int) take the
-        # set of distinct values instead.  The scan only names the first bad one.
+        # the one conversion; deleting the bytes 0..l then leaves nothing iff
+        # every color is in range.  Only a rejection scans for the first bad value.
         try:
-            ok = not bytearray(self.assign).translate(None, _BYTES[:self.l + 1])
+            self.assign = bytearray(self.assign)
+            ok = not self.assign.translate(None, _BYTES[:self.l + 1])
         except (TypeError, ValueError):
-            ok = all(0 <= v <= self.l for v in set(self.assign))
+            ok = False
         if not ok:
-            bad = next(v for v in self.assign if not 0 <= v <= self.l)
+            bad = next(v for v in self.assign if not (isinstance(v, int) and 0 <= v <= self.l))
             raise ValueError(f"color {bad} outside 0..{self.l}")
 
     @classmethod
     def empty(cls, n: int, l: int) -> "Coloring":
-        return cls(n, l, [UNCOLORED] * (1 << n))
+        return cls(n, l, bytes(1 << n))
 
     def color_of(self, bits: int) -> int:
         return self.assign[bits]
@@ -58,19 +59,18 @@ class Coloring:
         return [s for s, v in enumerate(self.assign) if v == color]
 
     def copy(self) -> "Coloring":
-        return Coloring(self.n, self.l, list(self.assign))
+        return Coloring(self.n, self.l, self.assign)
 
     def relabeled(self, color_map) -> "Coloring":
         """Apply a permutation of the colors 1..l (dict or sequence of images)."""
-        out = [color_map[v] if v else 0 for v in self.assign]
-        return Coloring(self.n, self.l, out)
+        images = bytes([0, *(color_map[v] for v in range(1, self.l + 1))])
+        return Coloring(self.n, self.l, self.assign.translate(images + _BYTES[self.l + 1:]))
 
     def permuted(self, perm) -> "Coloring":
         """Apply a permutation of ground elements (image form over range(n))."""
-        table = lattice.subset_permutation_table(self.n, perm)
-        out = [0] * len(self.assign)
-        for s, v in enumerate(self.assign):
-            out[table[s]] = v
+        out = bytearray(len(self.assign))
+        for t, v in zip(lattice.subset_permutation_table(self.n, perm), self.assign):
+            out[t] = v
         return Coloring(self.n, self.l, out)
 
     def to_json_dict(self) -> dict:
@@ -100,9 +100,7 @@ class ClassStats:
 
 def class_stats(c: Coloring) -> ClassStats:
     """Exact per-class counts; an empty class makes min_size zero."""
-    sizes = [0] * (c.l + 1)
-    for v in c.assign:
-        sizes[v] += 1
+    sizes = [c.assign.count(v) for v in range(c.l + 1)]
     per_class = tuple(sizes[1:])
     return ClassStats(per_class, sizes[0], min(per_class))
 
@@ -247,4 +245,4 @@ def validate_incremental(c: Coloring, just_colored: int,
 def canonicalize(c: Coloring) -> Coloring:
     """Lexicographically least coloring in the S_n orbit of c (ground-element
     relabelings only; colors are untouched).  Exact, capped at small n."""
-    return Coloring(c.n, c.l, list(lattice.canonical_assignment(c.n, c.assign)))
+    return Coloring(c.n, c.l, lattice.canonical_assignment(c.n, c.assign))

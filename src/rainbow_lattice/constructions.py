@@ -107,6 +107,7 @@ def incomparable_traces(n: int, l: int, total: bool = False) -> ConstructionRepo
     """
     if l < 2:
         raise ValueError("need l >= 2")
+    check_colors(l)
     if total and l < 3:
         raise ValueError("total trace coloring needs l >= 3 (the l=2 case "
                          "degenerates to an empty remainder class)")
@@ -119,9 +120,8 @@ def incomparable_traces(n: int, l: int, total: bool = False) -> ConstructionRepo
     traces = [subset_of(c) for c in combinations(range(1, m + 1), m // 2)][:classes]
     trace_color = {t: i + 1 for i, t in enumerate(traces)}
     # the color depends only on the trace h & (2^m - 1): repeat the 2^m prefix
-    pattern = [trace_color.get(h, l if total else 0) for h in range(1 << m)]
-    assign = pattern * (1 << (n - m))
-    col = Coloring(n, l, assign)
+    pattern = bytes(trace_color.get(h, l if total else 0) for h in range(1 << m))
+    col = Coloring(n, l, pattern * (1 << (n - m)))
     per = [pattern.count(c) << (n - m) for c in range(1, l + 1)]
     return ConstructionReport(
         name="traces", n=n, l=l, certificate="structural",
@@ -158,7 +158,7 @@ def chain_interval_coloring(n: int, l: int) -> ConstructionReport:
             cur |= 1 << (nxt - 1)
             nxt += 1
         sets.append(cur)
-    assign = [0] * (1 << n)
+    assign = bytearray(1 << n)
     for i in range(1, l + 1):
         lo, gap = sets[i - 1], sets[i] & ~sets[i - 1]
         for s in submasks_ascending(gap):
@@ -193,6 +193,7 @@ def random_chain_family(n: int, k: int, l: int, seed: int) -> ChainFamily:
     if k < 2 or l < 2 or n < l:
         raise ValueError("need k >= 2, l >= 2 and n >= l")
     check_dimension(n, analytic=True)
+    check_colors(l * (k - 1))  # before drawing the k - 1 chains
     rng = random.Random(seed)
     top = full_set(n)
     chains = []
@@ -216,27 +217,21 @@ def random_chain_family(n: int, k: int, l: int, seed: int) -> ChainFamily:
     return ChainFamily(n, k, l, tuple(chains))
 
 
-def _halfopen_remainder_size(base_lo: int, base_hi: int, excluded) -> int:
-    """|(base_lo, base_hi] minus the union of half-open intervals| by exact
-    inclusion-exclusion over the excluded list."""
-    total = 0
-    r = len(excluded)
-    for mask in range(1 << r):
-        lo = base_lo
-        hi = base_hi
-        lowers = [base_lo]
-        for t in range(r):
-            if mask >> t & 1:
-                elo, ehi = excluded[t]
-                lo |= elo
-                hi &= ehi
-                lowers.append(elo)
-        if not is_subset(lo, hi):
-            continue
-        cnt = 1 << (hi & ~lo).bit_count()
-        if lo in lowers:
-            cnt -= 1
-        total += -cnt if mask.bit_count() & 1 else cnt
+def _halfopen_remainder_size(lo: int, hi: int, chains, at_lower: bool = True) -> int:
+    """|(lo, hi] minus every half-open interval (a, b] of consecutive sets
+    of the chains| by exact inclusion-exclusion.  The intervals of one chain
+    are pairwise disjoint, so a nonzero term meets each chain at most once:
+    pick none or one interval per chain, and drop a branch once lo is not
+    below hi.  at_lower says lo is the lower end of a picked interval (or
+    of the base), so lo itself is not counted."""
+    if not chains:
+        return (1 << (hi & ~lo).bit_count()) - at_lower
+    total = _halfopen_remainder_size(lo, hi, chains[1:], at_lower)
+    for a, b in zip(chains[0], chains[0][1:]):
+        cut_lo, cut_hi = lo | a, hi & b
+        if is_subset(cut_lo, cut_hi):
+            lower = cut_lo == a or cut_lo == lo and at_lower
+            total -= _halfopen_remainder_size(cut_lo, cut_hi, chains[1:], lower)
     return total
 
 
@@ -252,20 +247,15 @@ def chain_family_coloring(cf: ChainFamily, materialize: bool = True) -> Construc
     """
     n, k, l = cf.n, cf.k, cf.l
     colors = l * (k - 1)
+    check_colors(colors)
     if materialize:
         check_dimension(n)
-    sizes = []
-    for j in range(k - 1):
-        earlier = [(cf.chains[jp][i - 1], cf.chains[jp][i])
-                   for jp in range(j) for i in range(1, l + 1)]
-        for i in range(1, l + 1):
-            sizes.append(_halfopen_remainder_size(
-                cf.chains[j][i - 1], cf.chains[j][i], earlier))
-    sizes = tuple(sizes)
+    sizes = tuple(_halfopen_remainder_size(ch[i - 1], ch[i], cf.chains[:j])
+                  for j, ch in enumerate(cf.chains) for i in range(1, l + 1))
     col = None
     if materialize:
         # chains last to first, so each set keeps the color of its first chain
-        assign = [0] * (1 << n)
+        assign = bytearray(1 << n)
         for j in range(k - 2, -1, -1):
             ch = cf.chains[j]
             for i in range(1, l + 1):
@@ -324,8 +314,8 @@ def lift3_coloring(n: int, variant: str = "three_color") -> ConstructionReport:
     four = variant == "four_color"
     l = 4 if four else 3
     # the color depends only on h & 7: repeat the 3-cube table
-    assign = [c if (four or c < 4) else 0 for c in map(_CUBE3.get, range(8))] * (1 << (n - 3))
-    col = Coloring(n, l, assign)
+    table = bytes(c if (four or c < 4) else 0 for c in map(_CUBE3.get, range(8)))
+    col = Coloring(n, l, table * (1 << (n - 3)))
     if four:
         forb = PosetFamily((diamond(),), "induced")
     else:
@@ -346,8 +336,8 @@ def p3_total_coloring(n: int) -> ConstructionReport:
     if n < 2:
         raise ValueError("need n >= 2")
     check_dimension(n)
-    assign = [3, 1, 2, 3] * (1 << (n - 2))  # by h & 3: neither, 1 only, 2 only, both
-    col = Coloring(n, 3, assign)
+    # by h & 3: neither, 1 only, 2 only, both
+    col = Coloring(n, 3, bytes((3, 1, 2, 3)) * (1 << (n - 2)))
     quarter = 2 ** (n - 2)
     return ConstructionReport(
         name="p3", n=n, l=3,
@@ -366,20 +356,18 @@ def pk_coloring(n: int, k: int) -> ConstructionReport:
     if n < 2:
         raise ValueError("need n >= 2")
     check_dimension(n)
-    check_colors(k)  # before the loop over classes 3..k below
+    check_colors(k)  # before the bytes of classes 3..k below
     quota = (1 << n) // k
     if 2 ** (n - 2) < quota:
         raise ValueError("side families too small for the quota")
     # ids below 4 * quota come in fours by h & 3: one of classes 3..k, one of
     # class 1, one of class 2, one of 3..k; above, classes 3..k take every id
     q4 = 4 * quota
-    rest = [0] * ((1 << n) - 2 * quota)
-    for c in range(3, k + 1):
-        rest[(c - 3) * quota:(c - 2) * quota] = [c] * quota
-    assign = [0] * (1 << n)
+    rest = b"".join(bytes([c]) * quota for c in range(3, k + 1)) + bytes((1 << n) - k * quota)
+    assign = bytearray(1 << n)
     assign[0:q4:4] = rest[0:2 * quota:2]
-    assign[1:q4:4] = [1] * quota
-    assign[2:q4:4] = [2] * quota
+    assign[1:q4:4] = b"\x01" * quota
+    assign[2:q4:4] = b"\x02" * quota
     assign[3:q4:4] = rest[1:2 * quota:2]
     assign[q4:] = rest[2 * quota:]
     col = Coloring(n, k, assign)

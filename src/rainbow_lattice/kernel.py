@@ -23,6 +23,15 @@ from .lattice import check_dimension
 from .posets import Poset
 
 _TABLE_BITS = 1 << 27  # mask bits kept per kind; a whole table takes 4^n, so n <= 13
+_ZEROS = b"0" * 256
+
+
+def class_masks(assign, l: int) -> list[int]:
+    """0, then the sets of each color 1..l of the bytes assign as a mask:
+    translating color c to "1" and every other byte to "0" writes the
+    mask's binary digits, lowest id first."""
+    return [0] + [int(assign.translate(_ZEROS[:c] + b"1" + _ZEROS[c + 1:])[::-1], 2)
+                  for c in range(1, l + 1)]
 
 
 @dataclass(frozen=True)
@@ -212,7 +221,7 @@ def _take(allowed: list[int], colors: int, sets: int) -> None:
 class RainbowKernel:
     """Rainbow copies of a poset family through one pinned set.
 
-    `assign` is a live view of the coloring (read, never written);
+    `assign` is a live view of the coloring's bytearray (read, never written);
     `color_mask[c]` holds the sets of color c the search may use, filled by
     mark_all(), scan() or toggle(); color_mask[0] stays 0.  Induced antichains take
     the clique walk of antichain_reach, weak ones a count of the colors in
@@ -236,10 +245,7 @@ class RainbowKernel:
 
     def mark_all(self) -> None:
         """Make every colored set of `assign` available."""
-        self.reset()
-        for s, c in enumerate(self.assign):
-            if c:
-                self.color_mask[c] |= 1 << s
+        self.color_mask[:] = class_masks(self.assign, self.l)
 
     def toggle(self, s: int) -> None:
         """Make the colored set s available, or unavailable if it is."""

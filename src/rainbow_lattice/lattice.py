@@ -13,9 +13,11 @@ from itertools import permutations
 # Enumerating all of B_n is refused above ENUMERATION_CAP; closed-form
 # sizes stay exact up to ANALYTIC_CAP (python ints, no overflow).  Orbit
 # canonicalization is exact-only, never approximated, hence its own cap.
+# A coloring stores one byte per set, so it has at most COLOR_CAP colors.
 ENUMERATION_CAP = 20
 ANALYTIC_CAP = 63
 CANONICAL_CAP = 5
+COLOR_CAP = 255
 
 
 def check_dimension(n, analytic: bool = False) -> None:
@@ -25,11 +27,9 @@ def check_dimension(n, analytic: bool = False) -> None:
 
 
 def check_colors(l: int) -> None:
-    """Refuse a color count outside 1..2^ENUMERATION_CAP: no coloring of an
-    enumerable B_n can use more colors than it has sets."""
-    if not 1 <= l <= 1 << ENUMERATION_CAP:
-        raise ValueError(f"color count l={l} outside 1..2^{ENUMERATION_CAP} "
-                         "(ENUMERATION_CAP)")
+    """Refuse a color count outside 1..COLOR_CAP."""
+    if not 1 <= l <= COLOR_CAP:
+        raise ValueError(f"color count l={l} outside 1..{COLOR_CAP} (COLOR_CAP: one byte per set)")
 
 
 def full_set(n: int) -> int:

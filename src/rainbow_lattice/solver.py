@@ -267,16 +267,10 @@ class _MaxMinSearch:
 
 
 def _equal_split_coloring(n: int, l: int, kind: str) -> Coloring:
-    size = 1 << n
-    cap = size // l
-    assign = [0] * size
-    if kind == "total":
-        for h in range(size):
-            assign[h] = h % l + 1
-    else:
-        for h in range(cap * l):
-            assign[h] = h % l + 1
-    return Coloring(n, l, assign)
+    """Set h takes color h % l + 1; a partial coloring leaves the last
+    2^n mod l sets uncolored."""
+    cycle, (reps, left) = bytes(range(1, l + 1)), divmod(1 << n, l)
+    return Coloring(n, l, cycle * reps + (cycle[:left] if kind == "total" else bytes(left)))
 
 
 # (n, colors, builtin_name of the one induced member, kind) -> (value, the
@@ -328,7 +322,7 @@ def _construction_seed(n: int, l: int, forbidden: PosetFamily, kind: str):
     if kind == "total":
         attempt(incomparable_traces, n, l, True)
     if len(names) == 1 and (key := (n, l, names[0], kind)) in WITNESSES:
-        candidates.append((Coloring(n, l, list(WITNESSES[key][1])),
+        candidates.append((Coloring(n, l, WITNESSES[key][1]),
                            f"witness:{instance_label(*key)}"))
 
     best = None

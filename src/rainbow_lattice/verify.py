@@ -269,7 +269,7 @@ def _witness_table_claim(seed, full, budget):
     want, got = {}, {}
     for (n, l, spec, kind), (value, assign) in WITNESSES.items():
         label = instance_label(n, l, spec, kind)
-        col = Coloring(n, l, list(assign))
+        col = Coloring(n, l, assign)
         ok = validate(col, PosetFamily.from_spec(spec)) is None and (
             kind == "partial" or col.is_total())
         want[label], got[label] = value, class_stats(col).min_size if ok else "invalid"

@@ -159,13 +159,18 @@ def test_cli_error_paths(capsys):
     (("detect", "--family", "[1, 2]", "--poset", "A999999"), "cap of 1024"),
     (("bounds", "--op", "known", "--n", "4", "--l", "2", "--forbid", "X9"), "X9"),
     (("construct", "--type", "chain", "--n", "4", "--l", "100000000000"), "l*log2(l)"),
-    (("solve", "--n", "3", "--colors", "100000000000", "--forbid", "A2"), "ENUMERATION_CAP"),
-    (("construct", "--type", "pk", "--n", "4", "--k", "100000000000"), "ENUMERATION_CAP"),
+    (("solve", "--n", "3", "--colors", "100000000000", "--forbid", "A2"), "COLOR_CAP"),
+    (("construct", "--type", "pk", "--n", "4", "--k", "100000000000"), "COLOR_CAP"),
+    (("construct", "--type", "congen", "--n", "6", "--k", "100000000000", "--l", "2"),
+     "COLOR_CAP"),
+    (("congen", "--n", "6", "--k", "100000000000", "--l", "2"), "COLOR_CAP"),
+    (("construct", "--type", "traces", "--n", "12", "--l", "300"), "COLOR_CAP"),
 ])
 def test_out_of_range_input_exits_2(argv, needle, capsys):
     # a negative node budget would report a solve it never ran, a poset
     # beyond the size cap would take hours to close, and a color count
-    # beyond 2^ENUMERATION_CAP would hang or run out of memory
+    # beyond COLOR_CAP fits no byte per set (congen would first draw
+    # all k - 1 chains)
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ") and needle in captured.err
@@ -183,7 +188,7 @@ def test_huge_color_count_answers_at_once(tmp_path, capsys):
     path.write_text(json.dumps({"n": 1, "l": 100000000000, "colors": [0, 1]}))
     assert run_cli("detect", "--coloring", str(path), "--forbid", "A2") == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "ENUMERATION_CAP" in err
+    assert err.startswith("error: ") and "COLOR_CAP" in err
 
 
 def test_budget_zero_is_a_set_up_call(capsys):

@@ -6,14 +6,15 @@ import warnings
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rainbow_lattice.coloring import (Coloring, PosetFamily, _lexmin_sets, canonicalize,
-                                      class_stats, has_rainbow, validate,
+from rainbow_lattice.coloring import (ClassStats, Coloring, PosetFamily, _lexmin_sets,
+                                      canonicalize, class_stats, has_rainbow, validate,
                                       validate_incremental)
 from rainbow_lattice.constructions import lift3_coloring, p3_total_coloring
-from rainbow_lattice.kernel import RainbowKernel
+from rainbow_lattice.kernel import RainbowKernel, class_masks
+from rainbow_lattice.lattice import COLOR_CAP
 from rainbow_lattice.posets import build_poset
 from oracles import copy_tuples, oracle_has_rainbow, oracle_rainbow_witnesses, rainbow_copy
 
@@ -192,7 +193,7 @@ def test_kernel_minimizer_matches_rainbow_copy_greedy(case, spec, mode, pinned):
     n, l, assign, s = case
     c, poset = Coloring(n, l, assign), build_poset(spec)
     must = s if pinned else None
-    kernel = RainbowKernel(n, l, [poset], mode, assign)
+    kernel = RainbowKernel(n, l, [poset], mode, bytearray(assign))
     kernel.mark_all()
     assert _lexmin_sets(c, poset, must, kernel) == _reference_lexmin(c, poset, mode, must)
 
@@ -332,26 +333,60 @@ def test_out_of_range_color_names_first_bad_value(c, data):
 
 @st.composite
 def mixed_assignments(draw):
-    """(n, l, assign): colors in 0..l, True and 1.0, and in half the draws
-    also negatives, l + 1, 255 and 256."""
+    """(n, l, assign): colors in 0..l and True, and in half the draws also
+    1.0, negatives, l + 1, 255 and 256; l up to COLOR_CAP and beyond."""
     n = draw(st.integers(1, 4))
     l = draw(st.sampled_from((1, 2, 254, 255, 256, 300)))
-    value = st.one_of(st.integers(0, l), st.sampled_from((True, 1.0)))
+    value = st.one_of(st.integers(0, l), st.just(True))
     if draw(st.booleans()):
-        value = st.one_of(value, st.integers(-3, -1), st.sampled_from((l + 1, 255, 256)))
+        value = st.one_of(value, st.sampled_from((1.0, l + 1, 255, 256)), st.integers(-3, -1))
     return n, l, draw(st.lists(value, min_size=1 << n, max_size=1 << n))
 
 
 @settings(max_examples=300, deadline=None)
 @given(mixed_assignments())
+@example((2, 256, [0, 1, 2, 3]))
+@example((2, 3, [0, 1.0, 2, 3]))
+@example((2, 3, [0, 1, -1, 3]))
 def test_range_check_agrees_with_the_set_of_values(case):
     n, l, assign = case
-    if all(0 <= v <= l for v in set(assign)):
-        assert Coloring(n, l, assign).assign is assign
+    if l > COLOR_CAP:
+        with pytest.raises(ValueError, match=f"outside 1..{COLOR_CAP} \\(COLOR_CAP"):
+            Coloring(n, l, assign)
+    elif all(isinstance(v, int) and 0 <= v <= l for v in assign):
+        got = Coloring(n, l, assign).assign
+        assert type(got) is bytearray and list(got) == assign
     else:
-        first = next(v for v in assign if not 0 <= v <= l)
+        first = next(v for v in assign if not (isinstance(v, int) and 0 <= v <= l))
         with pytest.raises(ValueError, match=f"^color {re.escape(str(first))} outside 0..{l}$"):
             Coloring(n, l, assign)
+
+
+@st.composite
+def byte_colorings(draw):
+    """(Coloring, its colors as a list, a permutation of 1..l): n <= 6, l up
+    to COLOR_CAP."""
+    n = draw(st.integers(1, 6))
+    l = draw(st.one_of(st.integers(1, 5), st.sampled_from((254, COLOR_CAP))))
+    assign = draw(st.lists(st.integers(0, l), min_size=1 << n, max_size=1 << n))
+    return Coloring(n, l, assign), assign, draw(st.permutations(range(1, l + 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(byte_colorings())
+def test_byte_format_agrees_with_per_set_loops(case):
+    c, assign, images = case
+    masks = [0] * (c.l + 1)
+    for s, v in enumerate(assign):
+        if v:
+            masks[v] |= 1 << s
+    assert class_masks(c.assign, c.l) == masks
+    sizes = [sum(1 for v in assign if v == color) for color in range(c.l + 1)]
+    assert class_stats(c) == ClassStats(tuple(sizes[1:]), sizes[0], min(sizes[1:]))
+    color_map = dict(zip(range(1, c.l + 1), images))
+    got = c.relabeled(color_map)
+    assert type(got.assign) is bytearray
+    assert list(got.assign) == [color_map[v] if v else 0 for v in assign]
 
 
 def test_canonicalize_coloring():

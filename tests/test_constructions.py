@@ -136,6 +136,16 @@ class TestChainFamilyColoring:
                 assert tuple(stats.sizes) == rep.class_sizes
                 assert stats.uncolored == rep.uncolored
 
+    def test_one_interval_per_chain_matches_class_stats(self):
+        # the size account takes at most one interval of each earlier chain
+        rng = random.Random(7)
+        for _ in range(60):
+            n, k, l = rng.randint(6, 10), rng.randint(4, 6), rng.randint(2, 3)
+            cf = random_chain_family(n, k, l, seed=rng.randrange(10 ** 6))
+            rep = chain_family_coloring(cf, materialize=True)
+            assert class_stats(rep.coloring).sizes == rep.class_sizes, (n, k, l, cf.chains)
+            assert chain_family_coloring(cf, materialize=False).class_sizes == rep.class_sizes
+
     def test_single_chain_sizes_closed_form(self):
         # k=2: nothing to subtract, classes are half-open interval sizes
         cf = random_chain_family(7, 2, 3, seed=2)
@@ -194,7 +204,7 @@ class TestMaterializedByDefinition:
                                       for i in range(1, l + 1)
                                       if _in_halfopen(h, ch[i - 1], ch[i])), 0)
                                 for h in range(1 << n)]
-                        assert got.assign == want, (n, k, l, chains)
+                        assert list(got.assign) == want, (n, k, l, chains)
 
     def test_chain_interval_coloring(self):
         for n in range(4, 13):
@@ -213,7 +223,7 @@ class TestMaterializedByDefinition:
                     else:
                         want.append(next((i for i in range(1, l + 1)
                                           if _in_halfopen(h, ends[i - 1], ends[i])), 0))
-                assert chain_interval_coloring(n, l).coloring.assign == want, (n, l)
+                assert list(chain_interval_coloring(n, l).coloring.assign) == want, (n, l)
 
     def test_traces(self):
         for n in range(4, 13):
@@ -224,7 +234,7 @@ class TestMaterializedByDefinition:
                 traces = traces[:l - 1 if total else l]
                 want = [traces.index(h & full_set(m)) + 1 if h & full_set(m) in traces
                         else l if total else 0 for h in range(1 << n)]
-                assert rep.coloring.assign == want, (n, l, total)
+                assert list(rep.coloring.assign) == want, (n, l, total)
 
     def test_lift3(self):
         def color(h, four):
@@ -238,13 +248,14 @@ class TestMaterializedByDefinition:
         for n in range(3, 13):
             for four in (False, True):
                 rep = lift3_coloring(n, "four_color" if four else "three_color")
-                assert rep.coloring.assign == [color(h, four) for h in range(1 << n)], (n, four)
+                want = [color(h, four) for h in range(1 << n)]
+                assert list(rep.coloring.assign) == want, (n, four)
 
     def test_p3_total(self):
         for n in range(2, 13):
             want = [1 if h & 1 and not h & 2 else 2 if h & 2 and not h & 1 else 3
                     for h in range(1 << n)]
-            assert p3_total_coloring(n).coloring.assign == want, n
+            assert list(p3_total_coloring(n).coloring.assign) == want, n
 
     def test_pk(self):
         for n in range(4, 13):
@@ -259,7 +270,7 @@ class TestMaterializedByDefinition:
                 for c in range(3, k + 1):
                     for h in rest[(c - 3) * quota:(c - 2) * quota]:
                         want[h] = c
-                assert pk_coloring(n, k).coloring.assign == want, (n, k)
+                assert list(pk_coloring(n, k).coloring.assign) == want, (n, k)
 
 
 class TestChainOverlapCheck:

@@ -42,7 +42,7 @@ def test_kernel_agrees_with_rainbow_copy_and_oracle(coloring, spec, mode, contai
     if containing is not None:
         containing %= 1 << n
     poset = build_poset(spec)
-    kernel = RainbowKernel(n, l, [poset], mode, assign)
+    kernel = RainbowKernel(n, l, [poset], mode, bytearray(assign))
     if containing is None:
         got = kernel.scan()
     elif assign[containing]:
@@ -65,7 +65,7 @@ def test_kernel_agrees_with_rainbow_copy_and_oracle(coloring, spec, mode, contai
 def test_kernel_family_is_any_member(coloring, specs, mode):
     n, l, assign = coloring
     specs = sorted(specs)
-    kernel = RainbowKernel(n, l, [build_poset(s) for s in specs], mode, assign)
+    kernel = RainbowKernel(n, l, [build_poset(s) for s in specs], mode, bytearray(assign))
     want = any(oracle_has_rainbow(assign, _tuples(n, s, mode)) for s in specs)
     assert kernel.scan() == want
 
@@ -106,7 +106,7 @@ def test_copy_using_agrees_with_oracle(case):
     # besides x the last image is tested with and without one still required
     n, l, assign, spec, mode, x, others = case
     poset = build_poset(spec)
-    kernel = RainbowKernel(n, l, [poset], mode, assign)
+    kernel = RainbowKernel(n, l, [poset], mode, bytearray(assign))
     kernel.mark_all()
     req = {x, *others}
     tuples = [t for t in _tuples(n, spec, mode)
@@ -147,7 +147,7 @@ def test_n5_scan_and_through_match_oracle(seed, spec, mode, l, monkeypatch):
         return found
 
     monkeypatch.setattr(RainbowKernel, "_extend", recording)
-    kernel = RainbowKernel(5, l, [build_poset(spec)], mode, assign)
+    kernel = RainbowKernel(5, l, [build_poset(spec)], mode, bytearray(assign))
     tuples = _tuples(5, spec, mode)
     assert kernel.scan() == oracle_has_rainbow(assign, tuples)
     for s, c in enumerate(assign):
@@ -188,7 +188,7 @@ def antichain_cases(draw):
 def test_antichain_search_agrees_with_oracle(case):
     # l = k - 1 has too few colors; l > k lets the search leave colors unused
     n, k, l, assign = case
-    kernel = RainbowKernel(n, l, [build_poset(f"A{k}")], "induced", assign)
+    kernel = RainbowKernel(n, l, [build_poset(f"A{k}")], "induced", bytearray(assign))
     tuples = _tuples(n, f"A{k}", "induced")
     assert kernel.scan() == oracle_has_rainbow(assign, tuples)
     kernel.mark_all()

@@ -38,7 +38,7 @@ def _agrees_with_oracle(n, l, specs, mode, kind):
     for sym_prune in (True, False):
         got = solve_min_class(n, l, PosetFamily(tuple(posets), mode), kind=kind,
                               use_construction_seed=False, sym_prune=sym_prune)
-        assert (got.value, got.witness and got.witness.assign) == (value, first), \
+        assert (got.value, got.witness and list(got.witness.assign)) == (value, first), \
             (n, l, specs, mode, kind, sym_prune)
 
 
@@ -87,12 +87,12 @@ class TestSolveKnownValues:
         res = solve_min_class(4, 3, PosetFamily.from_spec(spec))
         assert res.value == 4 and res.status == "optimal"
         assert res.nodes_explored == nodes
-        assert res.seed_source == source and res.witness.assign == witness
+        assert res.seed_source == source and list(res.witness.assign) == witness
         # the search's own lexicographically least witness at the optimum
         plain = solve_min_class(4, 3, PosetFamily.from_spec(spec),
                                 use_construction_seed=False)
         assert plain.seed_source == "search"
-        assert plain.witness.assign == [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4
+        assert list(plain.witness.assign) == [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4
 
     @pytest.mark.parametrize("kind,n,l,spec,value,nodes,witness", [
         ("partial", 4, 4, "A3", 3, 2722, [1, 0, 1, 0, 1, 0, 2, 0, 3, 4, 4, 2, 4, 2, 3, 3]),
@@ -109,7 +109,7 @@ class TestSolveKnownValues:
         res = solve_min_class(n, l, PosetFamily.from_spec(spec), kind=kind)
         assert res.value == res.upper == value and res.status == "optimal"
         assert res.nodes_explored == nodes
-        assert res.seed_source == "search" and res.witness.assign == witness
+        assert res.seed_source == "search" and list(res.witness.assign) == witness
 
     @pytest.mark.parametrize("spec,nodes,witness", [
         ("V3", 690, [1, 1, 2, 1, 2, 1, 3, 4, 2, 3, 3, 4, 3, 4, 4, 2]),
@@ -121,7 +121,7 @@ class TestSolveKnownValues:
         # and the same least witness
         res = solve_min_class(4, 4, PosetFamily.from_spec(spec))
         assert (res.value, res.upper, res.status, res.seed_source) == (4, 4, "optimal", "search")
-        assert res.nodes_explored == nodes and res.witness.assign == witness
+        assert res.nodes_explored == nodes and list(res.witness.assign) == witness
 
     def test_F_5_5_A5_within_budget(self):
         # forward-checked, the total solve needs 3,171 nodes (269,502 with a
@@ -129,8 +129,8 @@ class TestSolveKnownValues:
         res = solve_min_class(5, 5, PosetFamily.from_spec("A5"), kind="total",
                               budget=20_000)
         assert (res.value, res.upper, res.status, res.seed_source) == (6, 6, "optimal", "search")
-        assert res.witness.assign == [1] * 8 + [2] * 5 + [3, 3, 4, 4, 3, 5, 2, 5, 3, 3, 4,
-                                                          5, 3, 5, 4, 5, 5, 4, 4]
+        assert list(res.witness.assign) == [1] * 8 + [2] * 5 + [3, 3, 4, 4, 3, 5, 2, 5, 3, 3,
+                                                                4, 5, 3, 5, 4, 5, 5, 4, 4]
 
     def test_weak_antichain_root_bound(self):
         # a weak A_k with k <= l leaves at most k - 1 classes nonempty, so the
@@ -139,11 +139,11 @@ class TestSolveKnownValues:
         total = solve_min_class(4, 4, PosetFamily.from_spec("A4", "weak"), kind="total",
                                 budget=50_000)
         assert (total.value, total.upper, total.status) == (0, 0, "optimal")
-        assert total.seed_source == "search" and total.witness.assign == [1] * 16
+        assert total.seed_source == "search" and list(total.witness.assign) == [1] * 16
         assert total.nodes_explored == 16
         partial = solve_min_class(4, 3, PosetFamily.from_spec("A3", "weak"), budget=50_000)
         assert (partial.value, partial.upper, partial.status) == (0, 0, "optimal")
-        assert partial.seed_source == "empty" and partial.witness.assign == [0] * 16
+        assert partial.seed_source == "empty" and list(partial.witness.assign) == [0] * 16
         assert partial.nodes_explored == 0
         # the bound needs k <= l: a larger weak antichain is vacuous
         with warnings.catch_warnings():
@@ -194,7 +194,7 @@ class TestSolveKnownValues:
         assert validate(col, fam) is None and class_stats(col).min_size == value
         assert kind == "partial" or col.is_total()
         seed = solver._construction_seed(n, l, fam, kind)
-        assert seed[0] == value and seed[1].assign == list(assign)
+        assert seed[0] == value and list(seed[1].assign) == list(assign)
         assert seed[2] == f"witness:{solver.instance_label(n, l, spec, kind)}"
         # use_construction_seed=False turns the table off too
         off = solve_min_class(n, l, fam, kind=kind, budget=0, use_construction_seed=False)
