@@ -13,7 +13,6 @@ from fractions import Fraction
 from math import comb, gcd, log2, prod
 
 from .coloring import PosetFamily
-from .posets import builtin_name
 
 
 @dataclass(frozen=True)
@@ -197,16 +196,18 @@ def known_value(n: int, l: int, forbidden_spec: str, kind: str = "partial") -> F
 
     kind is "partial" (uncolored sets allowed) or "total".  The family may
     be spelled any way PosetFamily.from_spec reads (builtin names in any
-    order, "+"-sums, JSON objects): its members are recognised by
-    posets.builtin_name, and a malformed spec is a ValueError.  Values carry
-    a source tag and a caveat when small-n exhaustive search is known to
-    disagree.  Anything uncovered, a member that is no builtin included,
-    comes back not-applicable.
+    order, "+"-sums, JSON objects, members with more than l elements added):
+    it is looked up by its builtin_key(l), and a malformed spec or l < 1 is a
+    ValueError.  Values carry a source tag and a caveat when small-n
+    exhaustive search is known to disagree.  Anything uncovered, a member
+    that is no builtin or a family with no member left included, comes back
+    not-applicable.
     """
     if kind not in ("partial", "total"):
         raise ValueError(f"unknown kind {kind!r}")
-    names = [builtin_name(p) for p in PosetFamily.from_spec(forbidden_spec).members]
-    key = () if None in names else tuple(sorted(names))
+    if l < 1:
+        raise ValueError(f"color count l={l} must be at least 1")
+    key = PosetFamily.from_spec(forbidden_spec).builtin_key(l) or ()
     na = FormulaValue(None, False, "no covering theorem for "
                       f"(n={n}, l={l}, {','.join(key) or forbidden_spec}, {kind})")
 

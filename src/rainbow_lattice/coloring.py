@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from . import lattice
 from .kernel import RainbowKernel
-from .posets import Poset, build_poset, embed_poset
+from .posets import Poset, build_poset, builtin_name, embed_poset
 
 UNCOLORED = 0
 _BYTES = bytes(range(256))
@@ -134,6 +134,31 @@ class PosetFamily:
     def spec_string(self) -> str:
         return ",".join(p.name or f"{{size:{p.size}}}" for p in self.members)
 
+    def within(self, l: int) -> list[tuple[int, Poset]]:
+        """The (index, member) pairs an l-coloring can make rainbow: those
+        with at most l elements.  Each member dropped warns once."""
+        kept = []
+        for idx, p in enumerate(self.members):
+            if p.size <= l:
+                kept.append((idx, p))
+            else:
+                warnings.warn(f"forbidden poset {p!r} has more elements than colors "
+                              f"(l={l}); vacuously avoided", stacklevel=3)
+        return kept
+
+    def builtin_key(self, l: int) -> tuple[str, ...] | None:
+        """The sorted builtin names of the members within(l), or None when
+        one of them is no builtin: the key every spelling of a family shares."""
+        names = [builtin_name(p) for _, p in self.within(l)]
+        return None if None in names else tuple(sorted(names))
+
+    def certified_min(self, c: Coloring, kind: str) -> int | None:
+        """The smallest class of c, or None when c has a rainbow copy of a
+        member or, for kind "total", an uncolored set."""
+        if kind == "total" and not c.is_total() or has_rainbow(c, self):
+            return None
+        return class_stats(c).min_size
+
 
 @dataclass(frozen=True)
 class RainbowWitness:
@@ -144,26 +169,9 @@ class RainbowWitness:
     colors: tuple[int, ...] = ()
 
 
-def _applicable_members(c: Coloring, forbidden: PosetFamily, warn: bool = True):
-    out = []
-    for idx, p in enumerate(forbidden.members):
-        if p.size > c.l:
-            if warn:
-                warnings.warn(
-                    f"forbidden poset {p!r} has more elements than colors "
-                    f"(l={c.l}); vacuously avoided", stacklevel=3)
-            continue
-        if warn and forbidden.mode == "weak" and p.is_antichain() and p.size >= 2:
-            warnings.warn(
-                f"weak antichain {p!r} is degenerate: any {p.size} distinctly "
-                "colored sets form a copy", stacklevel=3)
-        out.append((idx, p))
-    return out
-
-
 def has_rainbow(c: Coloring, forbidden: PosetFamily) -> bool:
-    """Fast existence check; no witness minimization, no warnings."""
-    members = [p for _, p in _applicable_members(c, forbidden, warn=False)]
+    """Fast existence check: no witness minimization; warns of a dropped member."""
+    members = [p for _, p in forbidden.within(c.l)]
     return bool(members) and RainbowKernel(c.n, c.l, members, forbidden.mode, c.assign).scan()
 
 
@@ -199,11 +207,15 @@ def _lexmin_sets(c: Coloring, poset: Poset, must: int | None, kernel: RainbowKer
 
 def _best_witness(c: Coloring, forbidden: PosetFamily, must: int | None) -> RainbowWitness | None:
     mode = forbidden.mode
-    members = _applicable_members(c, forbidden)
-    # one kernel for the whole family: its color masks serve every query
-    kernel = RainbowKernel(c.n, c.l, [p for _, p in members], mode, c.assign)
+    members = forbidden.within(c.l)
     if not members:
         return None
+    for _, p in members:
+        if mode == "weak" and p.is_antichain() and p.size >= 2:
+            warnings.warn(f"weak antichain {p!r} is degenerate: any {p.size} distinctly "
+                          "colored sets form a copy", stacklevel=2)
+    # one kernel for the whole family: its color masks serve every query
+    kernel = RainbowKernel(c.n, c.l, [p for _, p in members], mode, c.assign)
     # either test leaves every colored set available to the witness search
     if must is None:
         found = kernel.scan()

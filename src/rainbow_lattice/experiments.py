@@ -96,24 +96,20 @@ def stats_rows(coloring: Coloring) -> list[dict]:
 
 
 _REQUIRED = object()
+_JSON_TYPES = {int: "an integer", str: "a string", bool: "true or false"}
 
 
-def _field(obj: dict, where: str, key: str, default=_REQUIRED):
-    """obj[key], or default when it is absent or null; a ValueError names
-    where and the field when a required one is missing."""
+def _field(obj: dict, where: str, key: str, json_type: type, default=_REQUIRED):
+    """obj[key], of json_type (int, str or bool), or default when it is
+    absent or null; a ValueError names where and the field when a required
+    one is missing or the value has another type."""
     value = obj.get(key)
     if value is None:
         if default is _REQUIRED:
             raise ValueError(f"{where} needs field {key!r}")
         return default
-    return value
-
-
-def _int_field(obj: dict, where: str, key: str, default=_REQUIRED):
-    """_field as an integer (None stays None)."""
-    value = _field(obj, where, key, default)
-    if value is not None and type(value) is not int:  # bool is an int subclass, a float truncates
-        raise ValueError(f"{where}: field {key!r} must be an integer, got {value!r}")
+    if type(value) is not json_type:  # true is no int, a float would truncate
+        raise ValueError(f"{where}: field {key!r} must be {_JSON_TYPES[json_type]}, got {value!r}")
     return value
 
 
@@ -136,8 +132,9 @@ def run_experiment(spec_file, outdir=None) -> dict:
     steps = spec.get("pipeline") if isinstance(spec, dict) else None
     if not isinstance(steps, list) or not steps:
         raise ValueError("experiment spec needs a nonempty 'pipeline' list")
-    out_base = Path(outdir) if outdir else Path(spec.get("outdir", spec_path.stem + "_out"))
-    seed = _int_field(spec, "experiment spec", "seed", 0)
+    spec_outdir = _field(spec, "experiment spec", "outdir", str, spec_path.stem + "_out")
+    out_base = Path(outdir or spec_outdir)
+    seed = _field(spec, "experiment spec", "seed", int, 0)
 
     staged: dict[str, str] = {}
     colorings: dict[str, Coloring] = {}
@@ -158,50 +155,51 @@ def run_experiment(spec_file, outdir=None) -> dict:
         where = f"pipeline step {idx} ({op})"
         entry = {"index": idx, "op": op}
         if op == "construct":
-            kind = _field(step, where, "type")
-            ints = {name: _int_field(step, where, name, None) for name in ("l", "k", "seed")}
-            if ints["seed"] is None and "seed" in CONSTRUCTIONS.get(kind, (None, (), ()))[2]:
-                ints["seed"] = seed
-            report = build_construction(kind, _int_field(step, where, "n"), {**step, **ints},
-                                        lambda name: f"field {name!r}")
-            name = step.get("out", f"construct_{idx}.json")
-            staged[name] = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+            kind = _field(step, where, "type", str)
+            params = {key: _field(step, where, key, typ, None) for key, typ in
+                      (("l", int), ("k", int), ("seed", int), ("total", bool),
+                       ("materialize", bool), ("variant", str))}
+            if params["seed"] is None and "seed" in CONSTRUCTIONS.get(kind, (None, (), ()))[2]:
+                params["seed"] = seed
+            report = build_construction(kind, _field(step, where, "n", int), params,
+                                        lambda key: f"field {key!r}")
+            out = _field(step, where, "out", str, f"construct_{idx}.json")
+            staged[out] = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
             if report.coloring is not None:
-                colorings[name] = report.coloring
-            entry.update(type=kind, out=name, min_size=report.min_size)
+                colorings[out] = report.coloring
+            entry.update(type=kind, out=out, min_size=report.min_size)
         elif op == "validate":
-            ref, forbid = _field(step, where, "coloring"), _field(step, where, "forbid")
+            ref, forbid = _field(step, where, "coloring", str), _field(step, where, "forbid", str)
             col = load_coloring(ref)
-            fam = PosetFamily.from_spec(forbid, step.get("mode", "induced"))
+            fam = PosetFamily.from_spec(forbid, _field(step, where, "mode", str, "induced"))
             witness = validate(col, fam)
             entry.update(coloring=ref, forbid=forbid,
                          verdict="ok" if witness is None else "rainbow",
                          witness=list(witness.sets) if witness else None)
-            if witness is not None and not step.get("allow_invalid", False):
+            if witness is not None and not _field(step, where, "allow_invalid", bool, False):
                 raise ValueError(f"validate step {idx} found a rainbow copy: {witness.sets}")
         elif op == "stats":
-            ref = _field(step, where, "coloring")
+            ref = _field(step, where, "coloring", str)
             col = load_coloring(ref)
-            name = step.get("out", f"stats_{idx}.csv")
-            staged[name] = _rows_to_csv(stats_rows(col))
-            entry.update(coloring=ref, out=name)
+            out = _field(step, where, "out", str, f"stats_{idx}.csv")
+            staged[out] = _rows_to_csv(stats_rows(col))
+            entry.update(coloring=ref, out=out)
         elif op == "congen_trials":
-            rows = congen_trial_rows(*(_int_field(step, where, key) for key in ("n", "k", "l")),
-                                     _int_field(step, where, "trials", 100),
-                                     _int_field(step, where, "seed", seed),
-                                     lambda name: f"{where}: field {name!r}")
-            name = step.get("out", f"trials_{idx}.csv")
-            staged[name] = _rows_to_csv(rows)
-            entry.update(out=name, trials=len(rows),
+            rows = congen_trial_rows(*(_field(step, where, key, int) for key in ("n", "k", "l")),
+                                     _field(step, where, "trials", int, 100),
+                                     _field(step, where, "seed", int, seed),
+                                     lambda key: f"{where}: field {key!r}")
+            out = _field(step, where, "out", str, f"trials_{idx}.csv")
+            staged[out] = _rows_to_csv(rows)
+            entry.update(out=out, trials=len(rows),
                          pass_rate=sum(r["condition_pass"] for r in rows) / len(rows))
         else:
             raise ValueError(f"unknown pipeline op {op!r}")
         step_log.append(entry)
 
-    manifest = {"name": spec.get("name", spec_path.stem), "seed": seed,
-                "version": __version__, "python": platform.python_version(),
-                "spec_file": str(spec_path), "steps": step_log,
-                "outputs": sorted(staged)}
+    manifest = {"name": _field(spec, "experiment spec", "name", str, spec_path.stem),
+                "seed": seed, "version": __version__, "python": platform.python_version(),
+                "spec_file": str(spec_path), "steps": step_log, "outputs": sorted(staged)}
     out_base.mkdir(parents=True, exist_ok=True)
     for name, content in staged.items():
         (out_base / name).write_text(content, encoding="utf-8")

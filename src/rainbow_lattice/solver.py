@@ -21,17 +21,16 @@ opt + 1 to refute.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
-from .coloring import Coloring, PosetFamily, class_stats, has_rainbow, validate
+from .coloring import Coloring, PosetFamily, validate
 from .constructions import (chain_interval_coloring, incomparable_traces,
                             lift3_coloring, p3_total_coloring, pk_coloring)
 from .kernel import antichain_reach, complete, completion_plans, mask_tables
 from .lattice import (CANONICAL_CAP, all_subset_permutation_tables, check_colors,
                       check_dimension, check_subset_id, comparable, full_set,
                       submasks_ascending)
-from .posets import antichain, builtin_name
+from .posets import antichain
 
 
 class BudgetExceeded(Exception):
@@ -292,13 +291,14 @@ def instance_label(n: int, l: int, spec: str, kind: str) -> str:
 
 def _construction_seed(n: int, l: int, forbidden: PosetFamily, kind: str):
     """Best valid lower-bound witness any generator or WITNESSES entry
-    provides, or None.  Induced members are recognised by builtin_name, so
-    every spelling of a family (builtin names in any order, "+"-sums, JSON
-    objects) gets the same seed.  A candidate is kept only when has_rainbow
-    finds no copy of the family in it: that is the one validity check."""
+    provides, or None.  Induced families are recognised by their
+    builtin_key, so every spelling of a family (builtin names in any order,
+    "+"-sums, JSON objects, members with more than l elements added) gets
+    the same seed.  A candidate is kept only when the family certifies it:
+    that is the one validity check."""
     mems = forbidden.members
     induced = forbidden.mode == "induced"
-    names = sorted(builtin_name(p) or "?" for p in mems) if induced else []
+    key = forbidden.builtin_key(l) if induced else None
     candidates = []
 
     def attempt(fn, *args):
@@ -310,29 +310,25 @@ def _construction_seed(n: int, l: int, forbidden: PosetFamily, kind: str):
 
     if induced and kind == "partial" and all(p.is_antichain() and p.size >= 2 for p in mems):
         attempt(chain_interval_coloring, n, l)
-    if names == ["D2"] and l == 4:
+    if key == ("D2",) and l == 4:
         attempt(lift3_coloring, n, "four_color")
-    if names == ["P3"] and l == 3:
+    if key == ("P3",) and l == 3:
         attempt(p3_total_coloring, n)
-    if names == [f"P{l}"] and l >= 4:
+    if key == (f"P{l}",) and l >= 4:
         attempt(pk_coloring, n, l)
-    if names == ["P3", "V2", "W2"] and l == 3 and kind == "partial":
+    if key == ("P3", "V2", "W2") and l == 3 and kind == "partial":
         attempt(lift3_coloring, n, "three_color")
     attempt(incomparable_traces, n, l)
     if kind == "total":
         attempt(incomparable_traces, n, l, True)
-    if len(names) == 1 and (key := (n, l, names[0], kind)) in WITNESSES:
-        candidates.append((Coloring(n, l, WITNESSES[key][1]),
-                           f"witness:{instance_label(*key)}"))
+    if key and len(key) == 1 and (entry := (n, l, key[0], kind)) in WITNESSES:
+        candidates.append((Coloring(n, l, WITNESSES[entry][1]),
+                           f"witness:{instance_label(*entry)}"))
 
     best = None
     for col, source in candidates:
-        if kind == "total" and not col.is_total():
-            continue
-        if has_rainbow(col, forbidden):
-            continue
-        value = class_stats(col).min_size
-        if best is None or value > best[0]:
+        value = forbidden.certified_min(col, kind)
+        if value is not None and (best is None or value > best[0]):
             best = (value, col, source)
     return best
 
@@ -365,13 +361,13 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
         raise ValueError(f"unknown kind {kind!r}")
     size = 1 << n
     cap = size // l
-    members = [p for p in forbidden.members if p.size <= l]
-    if len(members) < len(forbidden.members):
-        warnings.warn("forbidden members larger than the color count are "
-                      "vacuously avoided", stacklevel=2)
-    if not members:
+    kept = forbidden.within(l)
+    if not kept:
         return SolveResult(cap, cap, _equal_split_coloring(n, l, kind), "optimal",
                            0, cap, "trivial-cap")
+    # the seeds, the weak-antichain bound and the final check read these members
+    forbidden = PosetFamily(tuple(p for _, p in kept), forbidden.mode)
+    members = forbidden.members
 
     lo, witness, source = -1, None, "none"
     if use_construction_seed:
@@ -404,10 +400,8 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
     if witness is None:
         if finished:
             source = "infeasible"
-    elif class_stats(witness).min_size < lo or has_rainbow(witness, forbidden):
+    elif (got := forbidden.certified_min(witness, kind)) is None or got < lo:
         raise AssertionError("internal error: unsound witness")
-    elif kind == "total" and not witness.is_total():
-        raise AssertionError("internal error: partial witness for a total solve")
     return SolveResult(lo, hi, witness, status, search.nodes, cap, source, prunes)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds
-from .coloring import Coloring, PosetFamily, class_stats, validate
+from .coloring import Coloring, PosetFamily, class_stats, has_rainbow
 from .constructions import (chain_family_coloring, chain_interval_coloring,
                             chain_overlap_check, incomparable_traces, lift3_coloring,
                             p3_total_coloring, pk_coloring, random_chain_family,
@@ -88,8 +88,7 @@ def random_valid_coloring(n: int, l: int, forbidden: PosetFamily,
     to two random colors on each and keep the first that creates no rainbow
     copy."""
     c = Coloring.empty(n, l)
-    kernel = RainbowKernel(n, l, [p for p in forbidden.members if p.size <= l],
-                           forbidden.mode, c.assign)
+    kernel = RainbowKernel(n, l, [p for _, p in forbidden.within(l)], forbidden.mode, c.assign)
     ids = list(range(1 << n))
     rng.shuffle(ids)
     for s in ids:
@@ -160,11 +159,10 @@ def _certified_min(rep, kind):
     """The smallest class of a construction's coloring, measured on the
     coloring: "invalid" unless it has no rainbow copy, its class sizes equal
     the report's and, for kind "total", no set is uncolored."""
-    stats = class_stats(rep.coloring)
-    if (stats.sizes != rep.class_sizes or (kind == "total" and stats.uncolored)
-            or validate(rep.coloring, rep.forbidden) is not None):
+    value = rep.forbidden.certified_min(rep.coloring, kind)
+    if value is None or class_stats(rep.coloring).sizes != rep.class_sizes:
         return "invalid"
-    return stats.min_size
+    return value
 
 
 def _construct_claim(build, cases, full_cases=()):
@@ -269,10 +267,8 @@ def _witness_table_claim(seed, full, budget):
     want, got = {}, {}
     for (n, l, spec, kind), (value, assign) in WITNESSES.items():
         label = instance_label(n, l, spec, kind)
-        col = Coloring(n, l, assign)
-        ok = validate(col, PosetFamily.from_spec(spec)) is None and (
-            kind == "partial" or col.is_total())
-        want[label], got[label] = value, class_stats(col).min_size if ok else "invalid"
+        least = PosetFamily.from_spec(spec).certified_min(Coloring(n, l, assign), kind)
+        want[label], got[label] = value, "invalid" if least is None else least
     return want, got, None, ""
 
 
@@ -371,8 +367,7 @@ def _congen_freeness_claim(seed, full, budget):
     for t in range(trials):
         cf = random_chain_family(n, 3, 2, trial_seed(base, t))
         rep = chain_family_coloring(cf, materialize=True)
-        if validate(rep.coloring, rep.forbidden) is not None:
-            bad += 1
+        bad += has_rainbow(rep.coloring, rep.forbidden)
     return 0, bad, None, f"n={n} trials={trials}"
 
 

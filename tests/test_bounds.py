@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,22 @@ def test_known_value_table():
     assert known_value(10, 5, "P5").value == 1024 // 5
     with pytest.raises(ValueError):
         known_value(3, 2, "A2", "half")
+
+
+def test_known_value_drops_vacuous_members():
+    # a member with more than l elements changes nothing; with no member
+    # left no theorem applies
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert known_value(4, 4, "P4,A5") == known_value(4, 4, "P4")
+        assert known_value(4, 4, "P4,A5").value == 4
+        assert known_value(6, 4, "A5,D2", "total") == known_value(6, 4, "D2", "total")
+        assert known_value(5, 2, "A2,P3") == known_value(5, 2, "A2")
+        assert known_value(3, 3, "P3,V2,W2,A4") == known_value(3, 3, "P3,V2,W2")
+        assert not known_value(4, 2, "P3,A3").applicable
+    # and a color count below 1 is no family's
+    with pytest.raises(ValueError, match="l=0"):
+        known_value(3, 0, "A2")
 
 
 def test_known_value_reads_any_spelling():

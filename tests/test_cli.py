@@ -165,6 +165,7 @@ def test_cli_error_paths(capsys):
      "COLOR_CAP"),
     (("congen", "--n", "6", "--k", "100000000000", "--l", "2"), "COLOR_CAP"),
     (("construct", "--type", "traces", "--n", "12", "--l", "300"), "COLOR_CAP"),
+    (("bounds", "--op", "known", "--n", "4", "--l", "0", "--forbid", "P2"), "l=0"),
 ])
 def test_out_of_range_input_exits_2(argv, needle, capsys):
     # a negative node budget would report a solve it never ran, a poset
@@ -374,18 +375,50 @@ def _write_json(path, data):
     (lambda d: ("run", _write_json(d / "spec.json",
                                    {"pipeline": [{"op": "congen_trials", "n": 6, "k": 3,
                                                   "l": 2, "trials": 0}]})), "'trials'"),
+    (lambda d: ("run", _write_json(d / "spec.json",
+                                   {"pipeline": [{"op": "validate", "coloring": "c.json",
+                                                  "forbid": 5}]})), "'forbid'"),
+    (lambda d: ("run", _write_json(d / "spec.json",
+                                   {"pipeline": [{"op": "stats", "coloring": 5}]})), "'coloring'"),
+    (lambda d: ("run", _write_json(d / "spec.json",
+                                   {"pipeline": [{"op": "construct", "type": "p3", "n": 3,
+                                                  "out": 7}]}), "--out", str(d / "res")),
+     "'out'"),
+    (lambda d: ("run", _write_json(d / "spec.json",
+                                   {"outdir": 5, "pipeline": [{"op": "construct", "type": "p3",
+                                                               "n": 3}]})), "'outdir'"),
+    (lambda d: ("run", _write_json(d / "spec.json",
+                                   {"pipeline": [{"op": "construct", "type": "traces", "n": 4,
+                                                  "l": 2, "total": "no"}]})), "'total'"),
+    (lambda d: ("run", _write_json(d / "spec.json",
+                                   {"pipeline": [{"op": "construct", "type": "congen", "n": 6,
+                                                  "k": 3, "l": 2, "materialize": "no"}]})),
+     "'materialize'"),
+    (lambda d: ("run", _write_json(d / "spec.json", {"pipeline": [
+        {"op": "validate", "forbid": "P2", "allow_invalid": "false",
+         "coloring": _write_json(d / "c.json", {"n": 1, "l": 2, "colors": [1, 2]})}]})),
+     "'allow_invalid'"),
 ], ids=["coloring-without-colors", "coloring-not-object", "coloring-bad-l", "coloring-float-n",
         "coloring-string-colors", "family-not-list", "family-bool-id",
         "families-not-lists", "families-bool-id", "step-without-type", "step-bad-n",
         "traces-step-without-l", "lift3-step-with-l", "step-not-object",
         "spec-bad-seed", "step-float-fields", "step-bool-n", "congen-negative-trials",
-        "congen-step-zero-trials"])
+        "congen-step-zero-trials", "step-int-forbid", "step-int-coloring", "step-int-out",
+        "spec-int-outdir", "step-string-total", "step-string-materialize",
+        "step-string-allow-invalid"])
 def test_malformed_json_input_exits_2_naming_the_field(make_argv, field, tmp_path, capsys):
     assert run_cli(*make_argv(tmp_path)) == 2
     err = capsys.readouterr().err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and field in lines[0]
     assert "Traceback" not in err
+
+
+def test_mistyped_out_writes_nothing(tmp_path, capsys):
+    spec = _write_json(tmp_path / "spec.json",
+                       {"pipeline": [{"op": "construct", "type": "p3", "n": 3, "out": 7}]})
+    assert run_cli("run", spec, "--out", str(tmp_path / "res")) == 2
+    assert not (tmp_path / "res").exists()
 
 
 def test_forbid_takes_explicit_objects(capsys):

@@ -280,6 +280,28 @@ def test_oversized_member_warns_and_passes():
     assert any("more elements than colors" in str(w.message) for w in caught)
 
 
+@pytest.mark.parametrize("l, spec, reduced", [
+    (2, "P3,A2", "A2"), (2, "A2,A3,P2", "A2,P2"), (3, "V3,P3,D2", "P3"),
+    (3, "D2,A3", "A3")])
+def test_vacuous_members_change_no_verdict(l, spec, reduced):
+    # a member with more than l elements is dropped: the same verdict and
+    # the same witness sets, with member_index still pointing into spec
+    rng = random.Random(23)
+    fam, small = PosetFamily.from_spec(spec), PosetFamily.from_spec(reduced)
+    kept = [i for i, p in enumerate(fam.members) if p.size <= l]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _ in range(100):
+            c = Coloring(3, l, [rng.randrange(l + 1) for _ in range(8)])
+            assert has_rainbow(c, fam) == has_rainbow(c, small)
+            w, want = validate(c, fam), validate(c, small)
+            assert (w is None) == (want is None)
+            if w is not None:
+                assert w.sets == want.sets and w.colors == want.colors
+                assert w.member_index == kept[want.member_index]
+                assert w.poset is fam.members[w.member_index]
+
+
 def test_weak_antichain_warns_degenerate():
     c = Coloring(2, 2, [1, 2, 0, 0])
     with warnings.catch_warnings(record=True) as caught:

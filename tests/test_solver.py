@@ -504,6 +504,24 @@ class TestSolveContract:
         assert runs[0]["seed_source"] == source
         assert all(run == runs[0] for run in runs[1:])
 
+    @pytest.mark.parametrize("n, l, spec, reduced, source", [
+        # optimal 7 from the witness table, in 431,969 nodes
+        (5, 3, "A3,P4", "A3", "witness:f(5,3,A3)"),
+        (4, 4, "P4,A5", "P4", "construction:pk"),
+        (4, 4, "D2,A5", "D2", "construction:lift3"),
+    ])
+    def test_vacuous_members_change_nothing(self, n, l, spec, reduced, source):
+        # no l-coloring makes a member with more than l elements rainbow, so
+        # the solve is the reduced family's: value, bounds, nodes, prunes,
+        # seed and witness
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = solve_min_class(n, l, PosetFamily.from_spec(spec)).to_json_dict()
+        assert [str(w.message).count("vacuously avoided") for w in caught] == [1]
+        want = solve_min_class(n, l, PosetFamily.from_spec(reduced)).to_json_dict()
+        assert res == want
+        assert (res["status"], res["seed_source"]) == ("optimal", source)
+
     def test_json_shape(self):
         res = solve_min_class(2, 2, PosetFamily.from_spec("A2"))
         data = res.to_json_dict()
