@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import comb, gcd, log2, prod
 
 from .coloring import PosetFamily
+from .lattice import check_dimension
 
 
 @dataclass(frozen=True)
@@ -43,9 +44,11 @@ def equipartition_a(n: int, l: int) -> int:
 
 def formula_A2(n: int, l: int) -> FormulaValue:
     """Exact max-min class size for l-colorings with no rainbow incomparable
-    pair, under the hypothesis l*log2(l) <= n (checked integer-exactly)."""
-    if l < 1 or n < 1:
-        raise ValueError("need positive n and l")
+    pair, under the hypothesis l*log2(l) <= n (checked integer-exactly),
+    for n up to ANALYTIC_CAP."""
+    check_dimension(n, analytic=True)
+    if l < 1:
+        raise ValueError(f"color count l={l} must be at least 1")
     # for l >= 2, l > n already gives l^l >= 2^l > 2^n: the powers are
     # computed only when l <= n, so a huge l answers at once
     if l > n or l ** l > 2 ** n:
@@ -201,8 +204,9 @@ def known_value(n: int, l: int, forbidden_spec: str, kind: str = "partial") -> F
     ValueError.  Values carry a source tag and a caveat when small-n
     exhaustive search is known to disagree.  Anything uncovered, a member
     that is no builtin or a family with no member left included, comes back
-    not-applicable.
+    not-applicable.  n is refused beyond ANALYTIC_CAP.
     """
+    check_dimension(n, analytic=True)
     if kind not in ("partial", "total"):
         raise ValueError(f"unknown kind {kind!r}")
     if l < 1:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from . import __version__
 from . import bounds as bounds_mod
@@ -276,11 +277,14 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_run)
 
     args = top.parse_args(argv)
-    try:
-        return args.fn(args)
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # one line per library warning, without Python's source location and echo
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.fn(args)
+        except (ValueError, FileNotFoundError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

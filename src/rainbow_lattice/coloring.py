@@ -175,29 +175,32 @@ def has_rainbow(c: Coloring, forbidden: PosetFamily) -> bool:
     return bool(members) and RainbowKernel(c.n, c.l, members, forbidden.mode, c.assign).scan()
 
 
-def _lexmin_sets(c: Coloring, poset: Poset, must: int | None, kernel: RainbowKernel):
+def _lexmin_sets(poset: Poset, must: int | None, kernel: RainbowKernel):
     """Witness set-tuple that is lexicographically least when sorted
     ascending, or None when poset has no rainbow copy (through must).
 
     Greedy: the next set is the least x such that some copy uses the sets
-    chosen so far, x and must, and otherwise only sets above x.  The kernel,
-    with every colored set available, answers that question.
+    chosen so far, x and must, and otherwise only sets above x.  The
+    candidates x are the kernel's colored sets above the last one chosen,
+    and not above must until must is chosen; the kernel answers for each.
     """
-    universe = c.colored_ids()
+    colored = 0
+    for m in kernel.color_mask:
+        colored |= m
     chosen: list[int] = []
     while len(chosen) < poset.size:
-        floor = chosen[-1] if chosen else -1
-        for x in universe:
-            if x <= floor:
-                continue
-            req = chosen + [x]
-            if must is not None and must not in req:
-                if must < x:
-                    continue
-                req.append(must)
+        floor = chosen[-1] + 1 if chosen else 0
+        cand = colored >> floor << floor
+        pending = must is not None and must not in chosen
+        if pending:
+            cand &= (2 << must) - 1
+        while cand:
+            x = (cand & -cand).bit_length() - 1
+            req = chosen + [x] + ([must] if pending and x != must else [])
             if kernel.copy_using(poset, x, req):
                 chosen.append(x)
                 break
+            cand ^= 1 << x
         else:
             if not chosen:
                 return None
@@ -216,17 +219,11 @@ def _best_witness(c: Coloring, forbidden: PosetFamily, must: int | None) -> Rain
                           "colored sets form a copy", stacklevel=2)
     # one kernel for the whole family: its color masks serve every query
     kernel = RainbowKernel(c.n, c.l, [p for _, p in members], mode, c.assign)
-    # either test leaves every colored set available to the witness search
-    if must is None:
-        found = kernel.scan()
-    else:
-        kernel.mark_all()
-        found = kernel.through(must)
-    if not found:
+    if not (kernel.scan() if must is None else kernel.through(must)):
         return None
     best = None
     for idx, p in members:
-        sets = _lexmin_sets(c, p, must, kernel)
+        sets = _lexmin_sets(p, must, kernel)
         if sets is not None and (best is None or sets < best[1]):
             best = (idx, sets)
     if best is None:

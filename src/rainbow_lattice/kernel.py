@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import compress, permutations
 
 from .lattice import check_dimension
 from .posets import Poset
@@ -28,9 +28,10 @@ _ZEROS = b"0" * 256
 
 def class_masks(assign, l: int) -> list[int]:
     """0, then the sets of each color 1..l of the bytes assign as a mask:
-    translating color c to "1" and every other byte to "0" writes the
-    mask's binary digits, lowest id first."""
-    return [0] + [int(assign.translate(_ZEROS[:c] + b"1" + _ZEROS[c + 1:])[::-1], 2)
+    translating color c to "1" and every other byte to "0" in the reversed
+    bytes writes the mask's binary digits, highest id first."""
+    reverse = assign[::-1]
+    return [0] + [int(reverse.translate(_ZEROS[:c] + b"1" + _ZEROS[c + 1:]), 2)
                   for c in range(1, l + 1)]
 
 
@@ -222,8 +223,9 @@ class RainbowKernel:
     """Rainbow copies of a poset family through one pinned set.
 
     `assign` is a live view of the coloring's bytearray (read, never written);
-    `color_mask[c]` holds the sets of color c the search may use, filled by
-    mark_all(), scan() or toggle(); color_mask[0] stays 0.  Induced antichains take
+    `color_mask[c]` holds the sets of color c the search may use, every
+    colored set of `assign` when the kernel is built and after that changed
+    only by toggle(); color_mask[0] stays 0.  Induced antichains take
     the clique walk of antichain_reach, weak ones a count of the colors in
     use (any k distinctly colored sets form a weak copy of A_k), every other
     member the generic copy search.
@@ -233,55 +235,46 @@ class RainbowKernel:
         self.n = n
         self.l = l
         self.assign = assign
-        self.color_mask = [0] * (l + 1)
+        self.color_mask = class_masks(assign, l)
         self.incomp = mask_tables(n).incomp
         self.induced = mode == "induced"
         self.antichain_sizes = sorted({p.size for p in members if p.is_antichain()})
         self.plans = [plan for p in members if not p.is_antichain()
                       for plan in _copy_plans(p, self.induced, n)]
 
-    def reset(self) -> None:
-        self.color_mask[:] = [0] * (self.l + 1)
-
-    def mark_all(self) -> None:
-        """Make every colored set of `assign` available."""
-        self.color_mask[:] = class_masks(self.assign, self.l)
-
     def toggle(self, s: int) -> None:
-        """Make the colored set s available, or unavailable if it is."""
+        """Make the colored set s available, or unavailable if it is: the
+        caller colors or uncolors s in `assign` and toggles it to match."""
         self.color_mask[self.assign[s]] ^= 1 << s
 
     def scan(self) -> bool:
-        """Whether `assign` has a rainbow copy: the colored sets are added in
-        ascending id order, each searched through as it is added until a
-        copy turns up.  Every colored set is available afterwards."""
-        self.reset()
-        found = False
-        for s, c in enumerate(self.assign):
-            if c:
-                self.color_mask[c] |= 1 << s
-                found = found or self.through(s, newest=True)
-        return found
+        """Whether `assign` has a rainbow copy: each colored set is searched
+        through in ascending id order, with only the sets up to it, until a
+        copy turns up."""
+        ids = compress(range(len(self.assign)), self.assign)  # the colored sets, at C speed
+        return any(self.through(s, newest=True) for s in ids)
 
     def through(self, pos: int, newest: bool = False) -> bool:
         """A rainbow copy of some member that uses the colored set pos.
 
-        newest says no available set has a larger id than pos.  Proper
-        supersets have larger ids, so pos can then only be the image of a
-        maximal element, and the others need not be tried.
+        newest says to use only the available sets with ids up to pos: the
+        masks are cut to them.  Proper supersets have larger ids, so pos can
+        then only be the image of a maximal element, and the others need not
+        be tried.
         """
         base = self.assign[pos]
+        upto = (2 << pos) - 1 if newest else -1
         if self.antichain_sizes:
             others = [m for c, m in enumerate(self.color_mask) if c != base]
             for k in self.antichain_sizes:
-                if self._antichain(others, (pos,), pos, k):
+                if self._antichain(others, (pos,), pos, k, upto):
                     return True
         if not self.plans:
             return False
         free = 0
         for c in range(1, self.l + 1):
             if c != base:
-                free |= self.color_mask[c]
+                free |= self.color_mask[c] & upto
         for maximal, steps in self.plans:
             if (maximal or not newest) and self._extend(steps, 0, [pos], free, 0):
                 return True
@@ -319,7 +312,7 @@ class RainbowKernel:
         available sets of the colors not used yet and `need` the required
         sets not placed yet.  Candidates x are taken one color class cm at
         a time, ascending within it, and the next image takes from
-        free & ~cm.  The cones include their apex, yet the relations stay
+        free less cm.  The cones include their apex, yet the relations stay
         strict: an image's color has left `free`, so no image is placed
         twice.
 
@@ -327,7 +320,7 @@ class RainbowKernel:
         candidates.  So with one step left any candidate completes a copy
         (steps is never empty: a member here has two or more elements).
         Otherwise the next image's cut by the images before x is built
-        once, and its candidates after x lie in (cut & ~cm) & link[x],
+        once, and its candidates after x lie in (cut less cm) & link[x],
         link being the next step's table relative to x (no constraint when
         they are unrelated, weak mode).  An x that leaves this empty is
         skipped without a call.  With two steps left that is the whole
@@ -354,11 +347,11 @@ class RainbowKernel:
             m = cand & cm
             if not m:
                 continue
-            rest = cut & ~cm
+            rest = cut ^ (cut & cm)  # not cut & ~cm, whose cost is the whole of cm
             if not rest:
                 continue
             if not last:
-                child_free = free & ~cm
+                child_free = free ^ (free & cm)
             while m:
                 low = m & -m
                 x = low.bit_length() - 1
@@ -377,18 +370,18 @@ class RainbowKernel:
                 m ^= low
         return False
 
-    def _antichain(self, others: list[int], required, x: int, size: int) -> bool:
+    def _antichain(self, others: list[int], required, x: int, size: int, upto: int = -1) -> bool:
         """A rainbow antichain of size elements made of the sets of required
         (x among them) and one set from each of size - len(required) masks
-        of others, the available sets of the colors not in required:
-        pairwise incomparable (induced), or any that many nonempty masks
-        (weak)."""
+        of others, the available sets of the colors not in required, cut to
+        upto: pairwise incomparable (induced), or any that many nonempty
+        masks (weak)."""
         need = size - len(required)
         if not self.induced:
-            return sum(1 for m in others if m) >= need
-        inc = -1
+            return sum(1 for m in others if m & upto) >= need
+        inc = upto
         for s in required:
-            if not inc >> s & 1:  # s is comparable to a required set
+            if not inc >> s & 1:  # s is comparable to a required set, or beyond upto
                 return False
             inc &= self.incomp[s]
         if not need:

@@ -243,6 +243,15 @@ def test_known_value_drops_vacuous_members():
         known_value(3, 0, "A2")
 
 
+def test_closed_forms_refuse_n_beyond_the_analytic_cap():
+    # both build powers of 2 ** n, so n is capped before any is computed
+    assert formula_A2(63, 2).value == 2 ** 31 + 1
+    assert known_value(63, 2, "P2").value == 2 ** 61
+    for call in (formula_A2, lambda n, l: known_value(n, l, "P2")):
+        with pytest.raises(ValueError, match="n=64"):
+            call(64, 2)
+
+
 def test_known_value_reads_any_spelling():
     # members are recognised up to isomorphism, so every spelling of a
     # family keys the same theorem

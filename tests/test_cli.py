@@ -166,6 +166,8 @@ def test_cli_error_paths(capsys):
     (("congen", "--n", "6", "--k", "100000000000", "--l", "2"), "COLOR_CAP"),
     (("construct", "--type", "traces", "--n", "12", "--l", "300"), "COLOR_CAP"),
     (("bounds", "--op", "known", "--n", "4", "--l", "0", "--forbid", "P2"), "l=0"),
+    (("bounds", "--op", "known", "--n", "64", "--l", "2", "--forbid", "P2"), "n=64"),
+    (("bounds", "--op", "formulaA2", "--n", "64", "--l", "2"), "n=64"),
 ])
 def test_out_of_range_input_exits_2(argv, needle, capsys):
     # a negative node budget would report a solve it never ran, a poset
@@ -175,6 +177,24 @@ def test_out_of_range_input_exits_2(argv, needle, capsys):
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ") and needle in captured.err
+
+
+@pytest.mark.filterwarnings("default")
+@pytest.mark.parametrize("argv, code, message", [
+    (("solve", "--n", "3", "--colors", "3", "--forbid", "A3,P4"), 0,
+     "forbidden poset Poset(P4) has more elements than colors (l=3); vacuously avoided"),
+    (("bounds", "--op", "known", "--n", "4", "--l", "4", "--forbid", "P4,A5"), 0,
+     "forbidden poset Poset(A5) has more elements than colors (l=4); vacuously avoided"),
+    (("detect", "--coloring", "c.json", "--forbid", "A2", "--mode", "weak"), 1,
+     "weak antichain Poset(A2) is degenerate: any 2 distinctly colored sets form a copy"),
+])
+def test_library_warnings_print_as_one_line(argv, code, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({"n": 2, "l": 2, "colors": [1, 2, 1, 2]}))
+    assert run_cli(*argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"warning: {message}\n"
+    json.loads(captured.out)
 
 
 def test_huge_color_count_answers_at_once(tmp_path, capsys):

@@ -194,8 +194,7 @@ def test_kernel_minimizer_matches_rainbow_copy_greedy(case, spec, mode, pinned):
     c, poset = Coloring(n, l, assign), build_poset(spec)
     must = s if pinned else None
     kernel = RainbowKernel(n, l, [poset], mode, bytearray(assign))
-    kernel.mark_all()
-    assert _lexmin_sets(c, poset, must, kernel) == _reference_lexmin(c, poset, mode, must)
+    assert _lexmin_sets(poset, must, kernel) == _reference_lexmin(c, poset, mode, must)
 
 
 def _sparse_coloring(rng, n, l, chains, length):

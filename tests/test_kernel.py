@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from rainbow_lattice.coloring import PosetFamily, validate
 from rainbow_lattice.constructions import lift3_coloring
-from rainbow_lattice.kernel import (_TABLE_BITS, RainbowKernel, antichain_reach,
+from rainbow_lattice.kernel import (_TABLE_BITS, RainbowKernel, antichain_reach, class_masks,
                                     completion_plans, mask_tables)
 from rainbow_lattice.lattice import ENUMERATION_CAP, comparable, is_subset
 from rainbow_lattice.posets import build_poset
@@ -46,7 +46,6 @@ def test_kernel_agrees_with_rainbow_copy_and_oracle(coloring, spec, mode, contai
     if containing is None:
         got = kernel.scan()
     elif assign[containing]:
-        kernel.mark_all()
         got = kernel.through(containing)
     else:
         got = False
@@ -107,7 +106,6 @@ def test_copy_using_agrees_with_oracle(case):
     n, l, assign, spec, mode, x, others = case
     poset = build_poset(spec)
     kernel = RainbowKernel(n, l, [poset], mode, bytearray(assign))
-    kernel.mark_all()
     req = {x, *others}
     tuples = [t for t in _tuples(n, spec, mode)
               if req <= set(t) and all(s > x for s in set(t) - req)]
@@ -157,6 +155,34 @@ def test_n5_scan_and_through_match_oracle(seed, spec, mode, l, monkeypatch):
     assert "".join(calls) == N5_CASES[seed, spec, mode, l]
 
 
+@pytest.mark.parametrize("spec", ["P2", "A2"])
+def test_color_masks_stay_the_class_masks(spec, monkeypatch):
+    # the masks are built once from the bytes: a scan that stops at the
+    # first copy writes none of them, and a toggle pair restores them
+    rng = random.Random(7)
+    assign = bytearray([1, 2, 1, 0] + [rng.randint(0, 3) for _ in range(59)] + [3])
+    want = class_masks(assign, 3)
+    kernel = RainbowKernel(6, 3, [build_poset(spec)], "induced", assign)
+    assert kernel.color_mask == want
+    pinned = []
+    through = RainbowKernel.through
+
+    def recording(self, pos, newest=False):
+        pinned.append(pos)
+        return through(self, pos, newest)
+
+    monkeypatch.setattr(RainbowKernel, "through", recording)
+    assert kernel.scan()
+    # the empty set lies below {1}; {1} and {2} are incomparable
+    assert pinned == ([0, 1] if spec == "P2" else [0, 1, 2])
+    assert kernel.color_mask == want
+    for s in (1, 63):
+        kernel.toggle(s)
+        assert kernel.color_mask != want
+        kernel.toggle(s)
+        assert kernel.color_mask == want
+
+
 def test_copy_search_calls_on_the_four_color_lift3(monkeypatch):
     # a valid coloring makes the search try everything; an x that leaves the
     # next image no candidate is skipped without a call
@@ -191,7 +217,6 @@ def test_antichain_search_agrees_with_oracle(case):
     kernel = RainbowKernel(n, l, [build_poset(f"A{k}")], "induced", bytearray(assign))
     tuples = _tuples(n, f"A{k}", "induced")
     assert kernel.scan() == oracle_has_rainbow(assign, tuples)
-    kernel.mark_all()
     for s, c in enumerate(assign):
         if c:
             assert kernel.through(s) == oracle_has_rainbow(assign, [t for t in tuples if s in t])
