@@ -282,7 +282,7 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             return args.fn(args)
-        except (ValueError, FileNotFoundError) as exc:
+        except (ValueError, OSError) as exc:  # a missing or unreadable path, or a directory
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

@@ -135,16 +135,17 @@ class PosetFamily:
         return ",".join(p.name or f"{{size:{p.size}}}" for p in self.members)
 
     def within(self, l: int) -> list[tuple[int, Poset]]:
-        """The (index, member) pairs an l-coloring can make rainbow: those
-        with at most l elements.  Each member dropped warns once."""
-        kept = []
+        """The (index, member) pairs an l-coloring can make rainbow: the first
+        of each shape (builtin_name, else the labelled poset; A3,A3 reads as
+        A3) with at most l elements.  Each member dropped for size warns."""
+        kept = {}
         for idx, p in enumerate(self.members):
             if p.size <= l:
-                kept.append((idx, p))
+                kept.setdefault(builtin_name(p) or p, (idx, p))
             else:
                 warnings.warn(f"forbidden poset {p!r} has more elements than colors "
                               f"(l={l}); vacuously avoided", stacklevel=3)
-        return kept
+        return list(kept.values())
 
     def builtin_key(self, l: int) -> tuple[str, ...] | None:
         """The sorted builtin names of the members within(l), or None when

@@ -127,7 +127,7 @@ def run_experiment(spec_file, outdir=None) -> dict:
     """
     spec_path = Path(spec_file)
     if not spec_path.is_file():
-        raise FileNotFoundError(f"experiment spec {spec_path} does not exist")
+        raise FileNotFoundError(f"experiment spec {spec_path} is not a file")
     spec = json.loads(spec_path.read_text(encoding="utf-8"))
     steps = spec.get("pipeline") if isinstance(spec, dict) else None
     if not isinstance(steps, list) or not steps:

@@ -119,18 +119,25 @@ def _steps(poset: Poset, placed: list[int], rest: list[int], induced: bool,
     return tuple(steps), placed
 
 
+def _plan_key(steps, cuts=()):
+    """What makes two plans the same search: each step's tables and image
+    indices, and the cuts; tables by identity, as empty lazy stores are equal."""
+    return tuple(tuple((id(t), j) for t, j in step) for step in steps), tuple(map(id, cuts))
+
+
 @lru_cache(maxsize=256)
 def _copy_plans(poset: Poset, induced: bool, n: int):
     """For each element e0 pinned first: (e0 is maximal, steps placing the
-    others, see _steps)."""
+    others, see _steps), once per _plan_key, so a fork's two tops pin one
+    search.  Equal steps agree on maximal: e0 is iff no step holds (up, 0)."""
     tables = mask_tables(n)
-    plans = []
+    plans = {}
     for e0 in range(poset.size):
         steps, _ = _steps(poset, [e0], [e for e in range(poset.size) if e != e0],
                           induced, tables)
         maximal = not any(poset.is_less(e0, q) for q in range(poset.size))
-        plans.append((maximal, steps))
-    return tuple(plans)
+        plans.setdefault(_plan_key(steps), (maximal, steps))
+    return tuple(plans.values())
 
 
 @lru_cache(maxsize=256)
@@ -143,8 +150,8 @@ def completion_plans(poset: Poset, induced: bool, n: int):
 
     The steps place the other elements among the earlier sets, after a
     (see _steps); t must lie in cuts[j][image j] for every image j, a None
-    cut constraining nothing (incomparable, weak mode).  Plans that differ
-    only by a relabeling are kept once.  A one-element poset has none.
+    cut constraining nothing (incomparable, weak mode).  Plans are kept once
+    per _plan_key, as in _copy_plans.  A one-element poset has none.
     """
     tables = mask_tables(n)
     plans = {}
@@ -155,9 +162,7 @@ def completion_plans(poset: Poset, induced: bool, n: int):
         steps, order = _steps(poset, [a], [e for e in range(poset.size) if e not in (a, b)],
                               induced, tables)
         cuts = tuple(_relation(poset, q, b, induced, tables) for q in order)
-        # tables compare by identity: two lazy stores are equal dicts while empty
-        key = tuple((tuple((id(t), j) for t, j in step) for step in steps)), tuple(map(id, cuts))
-        plans.setdefault(key, (steps, cuts))
+        plans.setdefault(_plan_key(steps, cuts), (steps, cuts))
     return tuple(plans.values())
 
 

@@ -78,14 +78,17 @@ def subset_of(elems) -> int:
 
 
 def parse_subset(value, n: int | None = None) -> int:
-    """Accept an integer id or a "{1,3}" literal.  Ids are what we emit."""
+    """An integer id or a "{1,3}" literal of elements in 1..n (ANALYTIC_CAP
+    without n).  Ids are what we emit."""
     if type(value) is int:  # bool is an int subclass
         bits = value
     elif isinstance(value, str):
         text = value.strip()
         if text.startswith("{") and text.endswith("}"):
-            inner = text[1:-1].strip()
-            bits = subset_of(int(tok) for tok in inner.split(",") if tok.strip()) if inner else 0
+            elems = [int(tok) for tok in text[1:-1].split(",") if tok.strip()]
+            if max(elems, default=0) > (cap := ANALYTIC_CAP if n is None else n):
+                raise ValueError(f"element {max(elems)} of {value!r} out of range 1..{cap}")
+            bits = subset_of(elems)
         else:
             bits = int(text)
     else:

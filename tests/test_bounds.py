@@ -243,6 +243,15 @@ def test_known_value_drops_vacuous_members():
         known_value(3, 0, "A2")
 
 
+def test_known_value_reads_a_repeated_shape_once():
+    # A2 twice is A2, and an explicit chain of two beside P2 is P2
+    assert known_value(6, 2, "A2,A2") == known_value(6, 2, "A2")
+    assert known_value(6, 2, "A2,A2").value == 7
+    p2 = '{"size": 2, "relations": [[0, 1]]}'
+    assert known_value(6, 2, f"{p2},P2") == known_value(6, 2, "P2")
+    assert known_value(6, 2, f"{p2},P2").value == 16
+
+
 def test_closed_forms_refuse_n_beyond_the_analytic_cap():
     # both build powers of 2 ** n, so n is capped before any is computed
     assert formula_A2(63, 2).value == 2 ** 31 + 1

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import pytest
 
@@ -195,6 +196,35 @@ def test_library_warnings_print_as_one_line(argv, code, message, tmp_path, monke
     captured = capsys.readouterr()
     assert captured.err == f"warning: {message}\n"
     json.loads(captured.out)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("decompose", "--n", "3", "--families", '[["{300000000}"]]'), "--families"),
+    (("detect", "--family", '["{300000000}", "{1}"]', "--poset", "A2"), "--family"),
+])
+def test_subset_literal_element_is_refused_before_the_set_is_built(argv, flag, capsys):
+    # the set {300000000} alone is a 37.5 MB integer: an element above n
+    # (above ANALYTIC_CAP without --n) is refused first, by name
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: element 300000000 ") and peak < 1 << 22
+
+
+@pytest.mark.parametrize("make_argv, needle", [
+    (lambda d: ("detect", "--coloring", d, "--forbid", "A2"), "Is a directory"),
+    (lambda d: ("detect", "--family", "@" + d, "--poset", "P2"), "Is a directory"),
+    (lambda d: ("bounds", "--op", "m", "--l", "3", "--out", d), "Is a directory"),
+    (lambda d: ("run", d), "is not a file"),
+], ids=["coloring", "family", "out", "run"])
+def test_a_directory_path_exits_2(make_argv, needle, tmp_path, capsys):
+    assert run_cli(*make_argv(str(tmp_path))) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and needle in lines[0]
 
 
 def test_huge_color_count_answers_at_once(tmp_path, capsys):

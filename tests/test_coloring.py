@@ -301,6 +301,40 @@ def test_vacuous_members_change_no_verdict(l, spec, reduced):
                 assert w.poset is fam.members[w.member_index]
 
 
+def test_a_repeated_shape_is_read_once(monkeypatch):
+    # the first member of each shape stands for every later one: a witness
+    # names it, and the detector searches the shape once
+    p2 = '{"size": 2, "relations": [[1, 0]]}'
+    fam = PosetFamily.from_spec(f"A2,{p2},P2,A2")
+    assert [idx for idx, _ in fam.within(2)] == [0, 1]
+    w = validate(Coloring(2, 2, [1, 2, 0, 0]), fam)  # the empty set below {1}
+    assert (w.member_index, w.sets) == (1, (0, 1))
+    calls = 0
+    extend = RainbowKernel._extend
+
+    def counting(self, *args):
+        nonlocal calls
+        calls += 1
+        return extend(self, *args)
+
+    monkeypatch.setattr(RainbowKernel, "_extend", counting)
+    c = lift3_coloring(8, "three_color").coloring
+    counts = []
+    for spec in ("V2", "V2,V2", "P3,V2,W2", "V2,P3,V2,W2,P3"):
+        calls = 0
+        assert validate(c, PosetFamily.from_spec(spec)) is None
+        counts.append(calls)
+    assert counts[0] == counts[1] and counts[2] == counts[3]
+
+
+def test_a_member_dropped_for_size_warns_per_occurrence():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        kept = PosetFamily.from_spec("P4,A3,P4,A3").within(3)
+    assert [idx for idx, _ in kept] == [1]
+    assert [str(w.message).count("Poset(P4) has more elements") for w in caught] == [1, 1]
+
+
 def test_weak_antichain_warns_degenerate():
     c = Coloring(2, 2, [1, 2, 0, 0])
     with warnings.catch_warnings(record=True) as caught:

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from rainbow_lattice import kernel
 from rainbow_lattice.coloring import PosetFamily, validate
 from rainbow_lattice.constructions import lift3_coloring
-from rainbow_lattice.kernel import (_TABLE_BITS, RainbowKernel, antichain_reach, class_masks,
-                                    completion_plans, mask_tables)
+from rainbow_lattice.kernel import (_TABLE_BITS, RainbowKernel, _copy_plans, antichain_reach,
+                                    class_masks, completion_plans, mask_tables)
 from rainbow_lattice.lattice import ENUMERATION_CAP, comparable, is_subset
 from rainbow_lattice.posets import build_poset
 from oracles import copy_tuples, oracle_has_rainbow, rainbow_copy
@@ -116,17 +117,19 @@ def test_copy_using_agrees_with_oracle(case):
 # leaves the last image unrelated to the one before it.  The strings are the
 # results of the top-level _extend calls made by scan() and then through(s)
 # for every colored s, in call order, recorded from a search that placed
-# every image one by one.
+# every image one by one.  The D2, V2 and W2 strings dropped the calls of
+# the plans that only relabel an earlier one; each returned what its kept
+# twin returned.
 N5_CASES = {
-    (0, "D2", "induced", 4): "0000000000001000000000000000000000000100000100000100000001",
+    (0, "D2", "induced", 4): "000000000000100000000000000000010000100001000001",
     (0, "P3", "induced", 3): "00000000001000100000000000000000000001001",
-    (0, "V2", "induced", 3): "00000000000000000000100010000100000000000000000001",
-    (0, "W2", "induced", 3): "00000000001010101000010101000000011",
+    (0, "V2", "induced", 3): "00000000001001000100000000000001",
+    (0, "W2", "induced", 3): "00000000001010101000101010000011",
     (0, "P2+A1", "weak", 3): "0000000000000011110111101001101",
-    (1, "D2", "induced", 4): "0000000000111010100000100000000010100010001",
+    (1, "D2", "induced", 4): "00000000001110101000010000000101001001",
     (1, "P3", "induced", 3): "000011111010000000100000100101001",
-    (1, "V2", "induced", 3): "0000000000111110101110101010101",
-    (1, "W2", "induced", 3): "000010000101000100001010111011",
+    (1, "V2", "induced", 3): "00000111110101110101010101",
+    (1, "W2", "induced", 3): "000010001010010001010111011",
     (1, "P2+A1", "weak", 3): "0000000011111111110101101",
 }
 
@@ -278,6 +281,30 @@ def test_domain_rules_reach_only_later_sets(spec, induced):
         assert plans == (((step,), (cut, cut)),)
     # a one-element member has no pair of roles: the solver empties the domains
     assert completion_plans(build_poset("A1"), induced, 3) == ()
+
+
+@pytest.mark.parametrize("induced", [True, False])
+def test_copy_plans_keep_one_plan_per_relabeling(induced, monkeypatch):
+    # (plans, maximal plans): a fork's tops, a join's bottoms and the
+    # diamond's middles each pin one search, which scan and through run once
+    counts = {spec: (len(plans), sum(maximal for maximal, _ in plans))
+              for spec in ("V2", "V3", "W2", "W3", "D2", "P3", "P2+A1")
+              for plans in [_copy_plans(build_poset(spec), induced, 4)]}
+    assert counts == {"V2": (2, 1), "V3": (2, 1), "W2": (2, 1), "W3": (2, 1),
+                      "D2": (3, 1), "P3": (3, 1), "P2+A1": (3, 2)}
+    # both plan builders key a plan by the one helper
+    keyed, plan_key = [], kernel._plan_key
+
+    def recording(*plan):
+        keyed.append(len(plan))
+        return plan_key(*plan)
+
+    monkeypatch.setattr(kernel, "_plan_key", recording)
+    v2 = build_poset("V2")
+    _copy_plans.__wrapped__(v2, induced, 4)
+    assert keyed == [1, 1, 1]  # steps, for each of the three elements pinned first
+    completion_plans.__wrapped__(v2, induced, 4)
+    assert keyed[3:] and set(keyed[3:]) == {2}  # steps and cuts
 
 
 @pytest.mark.parametrize("n", [*range(1, 7), 13, 14, 20])

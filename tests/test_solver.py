@@ -522,6 +522,14 @@ class TestSolveContract:
         assert res == want
         assert (res["status"], res["seed_source"]) == ("optimal", source)
 
+    def test_a_repeated_member_changes_nothing(self):
+        # A3,A3 is A3: the same seed from the witness table, the same
+        # 431,969-node refutation of 8, the same witness
+        res = solve_min_class(5, 3, PosetFamily.from_spec("A3,A3")).to_json_dict()
+        assert res == solve_min_class(5, 3, PosetFamily.from_spec("A3")).to_json_dict()
+        assert (res["status"], res["value"], res["seed_source"], res["nodes_explored"]) == (
+            "optimal", 7, "witness:f(5,3,A3)", 431_969)
+
     def test_json_shape(self):
         res = solve_min_class(2, 2, PosetFamily.from_spec("A2"))
         data = res.to_json_dict()
