@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, log2, prod
+from math import comb, gcd, log2, perm
 
 from .coloring import PosetFamily
 from .lattice import check_dimension
@@ -128,11 +128,12 @@ def solve_c0(tol: float = 1e-10) -> dict:
 def squared_ratio_product(l: int, i: int) -> Fraction:
     """prod_{h=1..i} ((l-h)/(l-h+1))^2, exactly, for l >= 1 and 0 <= i <= l-1.
 
-    All i factors are multiplied out as integers (numerators l-1 .. l-i,
-    denominators l .. l-i+1) and reduced once."""
+    All i factors are multiplied out as integers, the numerators
+    l-1 .. l-i as the falling product perm(l-1, i) and the denominators
+    l .. l-i+1 as perm(l, i), and reduced once."""
     if l < 1 or not 0 <= i <= l - 1:
         raise ValueError(f"need l >= 1 and 0 <= i <= l-1, got (l={l}, i={i})")
-    return Fraction(prod(range(l - i, l)), prod(range(l - i + 1, l + 1))) ** 2
+    return Fraction(perm(l - 1, i), perm(l, i)) ** 2
 
 
 def g_of_l(l: int) -> Fraction:
@@ -164,18 +165,22 @@ def delta_l(l: int, i: int) -> Fraction:
     return bracket * squared_ratio_product(l, i - 1)
 
 
-def delta_sequence(l: int) -> list[Fraction]:
-    """All of delta_l(1..l-1) with the running product carried along as a
-    reduced integer numerator/denominator pair."""
-    out = []
+def delta_pairs(l: int):
+    """delta_l(1..l-1) as positive integer (numerator, denominator) pairs,
+    not reduced, with the running product carried along as a reduced
+    integer numerator/denominator pair."""
     num = den = 1
     for i in range(1, l):
         a, b = (l - i) ** 2, (l - i + 1) ** 2
-        out.append(Fraction((b - a) * num, b * den))
+        yield (b - a) * num, b * den
         num, den = num * a, den * b
         g = gcd(num, den)
         num, den = num // g, den // g
-    return out
+
+
+def delta_sequence(l: int) -> list[Fraction]:
+    """All of delta_l(1..l-1), from delta_pairs."""
+    return [Fraction(num, den) for num, den in delta_pairs(l)]
 
 
 def eq_sweep(l_max: int) -> list[tuple[int, int]]:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 
@@ -15,7 +16,7 @@ from .coloring import Coloring, PosetFamily, class_stats, validate
 from .constructions import chain_overlap_check, random_chain_family
 from .experiments import (CONSTRUCTIONS, build_construction, check_params, congen_trial_rows,
                           _rows_to_csv, run_experiment)
-from .lattice import parse_subset
+from .lattice import parse_integer, parse_subset
 from .posets import build_poset, find_copy
 from .solver import az_decompose, solve_min_class
 from .verify import DEFAULT_SEED, verify_suite
@@ -32,6 +33,19 @@ def _render(data: dict, fmt: str) -> str:
             value = json.dumps(value, sort_keys=True, separators=(",", ":"), default=str)
         lines.append(f"{key}: {value}")
     return "\n".join(lines)
+
+
+def _claim_out(args) -> bool:
+    """Open --out for appending before the command runs, so that a path it
+    cannot write exits 2 at once instead of after the work; the contents are
+    replaced only when the command writes.  `run` reads --out as a directory.
+    Returns whether the file was made here."""
+    if not args.out or args.command == "run":
+        return False
+    made = not os.path.lexists(args.out)
+    with open(args.out, "a", encoding="utf-8"):
+        pass
+    return made
 
 
 def _write(text: str, args) -> None:
@@ -54,13 +68,18 @@ def _subsets(flag: str, raw, n: int | None = None) -> list[int]:
         raise ValueError(f"{flag}: {exc}") from None
 
 
+def _json_arg(flag: str, text: str):
+    """json.loads, with an integer of more digits than Python converts at
+    once an error naming the flag rather than the interpreter's limit."""
+    return json.loads(text, parse_int=lambda digits: parse_integer(digits, f"{flag}: integer"))
+
+
 def _family_arg(value: str):
     """A family of subsets: inline JSON list or @file; literals per parse_subset."""
     if value.startswith("@"):
         with open(value[1:], encoding="utf-8") as fh:
-            raw = json.load(fh)
-    else:
-        raw = json.loads(value)
+            value = fh.read()
+    raw = _json_arg("--family", value)
     if not isinstance(raw, list):
         raise ValueError("--family must be a JSON list of subsets")
     return _subsets("--family", raw)
@@ -126,7 +145,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    raw = json.loads(args.families)
+    raw = _json_arg("--families", args.families)
     if not isinstance(raw, list) or not all(isinstance(fam, list) for fam in raw):
         raise ValueError("--families must be a JSON list of lists of subsets")
     families = [_subsets("--families", fam, args.n) for fam in raw]
@@ -280,9 +299,13 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         # one line per library warning, without Python's source location and echo
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        made = False
         try:
+            made = _claim_out(args)
             return args.fn(args)
         except (ValueError, OSError) as exc:  # a missing or unreadable path, or a directory
+            if made:
+                os.remove(args.out)
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

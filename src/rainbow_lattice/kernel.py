@@ -89,6 +89,59 @@ def mask_tables(n: int) -> MaskTables:
     return MaskTables(down, up, incomp)
 
 
+@lru_cache(maxsize=None)
+def rank_order(n: int) -> tuple[int, ...]:
+    """The ids of B_n by size, then by id.  Like ascending ids, rank order
+    puts every set after its subsets, so a search may place sets in either."""
+    check_dimension(n)
+    return tuple(sorted(range(1 << n), key=lambda s: (s.bit_count(), s)))
+
+
+@lru_cache(maxsize=None)
+def rank_positions(n: int) -> tuple[int, ...]:
+    """The position of each id in rank_order(n): its inverse permutation."""
+    order = rank_order(n)
+    return tuple(sorted(range(len(order)), key=order.__getitem__))
+
+
+@lru_cache(maxsize=None)  # one entry per n, built on first use
+def rank_tables(n: int) -> MaskTables:
+    """mask_tables(n) in rank order: index p and bit p of every mask stand
+    for the set rank_order(n)[p].  Where mask_tables keeps whole tables, a
+    set's down-set is itself plus the down-sets of the sets one element
+    smaller, which come before it, and its up-set likewise from the sets one
+    element larger; above, bounded stores move each id-order cone's bits."""
+    order, where, size = rank_order(n), rank_positions(n), 1 << n
+    full, everything = size - 1, (1 << size) - 1
+    if size * size > _TABLE_BITS:
+        ids = mask_tables(n)
+
+        def store(table):
+            def cone(p: int) -> int:
+                bits = format(table[order[p]], f"0{size}b")[::-1]  # bits[s]: id s
+                return int("".join(map(bits.__getitem__, order))[::-1], 2)
+            return _ConeStore(cone, _TABLE_BITS >> n)
+        return MaskTables(store(ids.down), store(ids.up), store(ids.incomp))
+    down, up = [0] * size, [0] * size
+    for p, s in enumerate(order):
+        cone, rest = 1 << p, s
+        while rest:
+            low = rest & -rest
+            cone |= down[where[s ^ low]]
+            rest ^= low
+        down[p] = cone
+    for p in range(size - 1, -1, -1):
+        s = order[p]
+        cone, rest = 1 << p, full ^ s
+        while rest:
+            low = rest & -rest
+            cone |= up[where[s | low]]
+            rest ^= low
+        up[p] = cone
+    return MaskTables(tuple(down), tuple(up),
+                      tuple(everything ^ (d | u) for d, u in zip(down, up)))
+
+
 def _relation(poset: Poset, x: int, y: int, induced: bool, tables: MaskTables):
     """The table T with image(y) in T[image(x)] in every copy of poset, or
     None when the pair constrains nothing (incomparable, weak mode)."""
@@ -141,19 +194,20 @@ def _copy_plans(poset: Poset, induced: bool, n: int):
 
 
 @lru_cache(maxsize=256)
-def completion_plans(poset: Poset, induced: bool, n: int):
-    """How a search that places sets in ascending id order catches every
-    rainbow copy of poset when its second-largest set s is placed: one
-    (steps, cuts) per pair of roles (a, b), s the image of a and the later
-    set t the image of b.  b is never below a, and no other element lies
-    above a or b, since the other images precede s.
+def completion_plans(poset: Poset, induced: bool, n: int, rank: bool = False):
+    """How a search that places sets in ascending id order (in rank order,
+    over rank_tables, with rank) catches every rainbow copy of poset when
+    its second-largest set s is placed: one (steps, cuts) per pair of roles
+    (a, b), s the image of a and the later set t the image of b.  b is never
+    below a, and no other element lies above a or b, since the other images
+    precede s: both orders put every set after its subsets.
 
     The steps place the other elements among the earlier sets, after a
     (see _steps); t must lie in cuts[j][image j] for every image j, a None
     cut constraining nothing (incomparable, weak mode).  Plans are kept once
     per _plan_key, as in _copy_plans.  A one-element poset has none.
     """
-    tables = mask_tables(n)
+    tables = rank_tables(n) if rank else mask_tables(n)
     plans = {}
     for a, b in permutations(range(poset.size), 2):
         if any(poset.is_less(b, e) or e != b and poset.is_less(a, e)

@@ -77,6 +77,18 @@ def subset_of(elems) -> int:
     return bits
 
 
+def parse_integer(token: str, what: str) -> int:
+    """int(token), with a run of more digits than Python converts at once
+    an error that says what the token is, not the interpreter's limit."""
+    try:
+        return int(token)
+    except ValueError:
+        digits = token.strip().lstrip("+-")
+        if digits.isdigit():
+            raise ValueError(f"{what} of {len(digits)} digits is out of range") from None
+        raise
+
+
 def parse_subset(value, n: int | None = None) -> int:
     """An integer id or a "{1,3}" literal of elements in 1..n (ANALYTIC_CAP
     without n).  Ids are what we emit."""
@@ -85,12 +97,13 @@ def parse_subset(value, n: int | None = None) -> int:
     elif isinstance(value, str):
         text = value.strip()
         if text.startswith("{") and text.endswith("}"):
-            elems = [int(tok) for tok in text[1:-1].split(",") if tok.strip()]
+            elems = [parse_integer(tok, "element") for tok in text[1:-1].split(",")
+                     if tok.strip()]
             if max(elems, default=0) > (cap := ANALYTIC_CAP if n is None else n):
                 raise ValueError(f"element {max(elems)} of {value!r} out of range 1..{cap}")
             bits = subset_of(elems)
         else:
-            bits = int(text)
+            bits = parse_integer(text, "subset id")
     else:
         raise ValueError(f"cannot parse subset literal {value!r}")
     if bits < 0 or (n is not None and bits >= (1 << n)):

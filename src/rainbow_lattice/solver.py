@@ -2,7 +2,7 @@
 cross-incomparability and greedy-cover diagnostics.
 
 The solver finds the largest m such that a valid (partial or total)
-l-coloring with every class of size >= m exists, in one depth-first pass
+l-coloring with every class of size >= m exists, in a depth-first climb
 over subset ids with first-use color symmetry breaking and, up to
 n = CANONICAL_CAP, exact S_n orbit pruning by an incremental lex-leader
 check at every depth.  Every forbidden member is forward-checked: each
@@ -12,21 +12,27 @@ and the pass backs up once some color can no longer reach m, alone or, by
 Hall's condition, together with other short colors.  A partial pass never
 gives a color more than m sets: the least valid assignment with every class
 >= m has every class exactly m.
-The pass starts one above the best seed's value and raises m past each
+The climb starts one above the best seed's value and raises m past each
 valid assignment it meets, so refuting the last m is the whole proof.  The
 seeds are the constructions' colorings and, for frontier instances, the
 search's own least witnesses checked in as WITNESSES, which leave only
-opt + 1 to refute.
+opt + 1 to refute.  A seeded solve first runs the same search over the sets
+in rank order (size, then id), capped at seed + 1: that order refutes in
+far fewer nodes, and when it finds no leaf the seed is optimal.  Only when
+it finds one does the id-order climb run from the seed, so a finished
+solve's value and least witness are the climb's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .coloring import Coloring, PosetFamily, validate
 from .constructions import (chain_interval_coloring, incomparable_traces,
                             lift3_coloring, p3_total_coloring, pk_coloring)
-from .kernel import antichain_reach, complete, completion_plans, mask_tables
+from .kernel import (antichain_reach, complete, completion_plans, mask_tables, rank_order,
+                     rank_positions, rank_tables)
 from .lattice import (CANONICAL_CAP, all_subset_permutation_tables, check_colors,
                       check_dimension, check_subset_id, comparable, full_set,
                       submasks_ascending)
@@ -48,11 +54,14 @@ class SolveResult:
     seed_source: str = "none"
     # nodes cut by each bound: per-color count, Hall, S_n lex-leader
     prunes: dict = field(default_factory=lambda: {"count": 0, "hall": 0, "symmetry": 0})
+    # nodes of each pass: the rank-order refutation of a seed, the id-order climb
+    passes: dict = field(default_factory=lambda: {"refute": 0, "climb": 0})
 
     def to_json_dict(self) -> dict:
         return {"value": self.value, "upper": self.upper, "status": self.status,
                 "nodes_explored": self.nodes_explored, "cap": self.cap,
                 "seed_source": self.seed_source, "prunes": self.prunes,
+                "passes": self.passes,
                 "witness": self.witness.to_json_dict() if self.witness else None}
 
 
@@ -93,9 +102,15 @@ class _MaxMinSearch:
     its time, and the next one lies later in lexicographic order.  The set
     of such assignments is closed under element and color permutations, so
     neither the lex-leader prune nor first-use symmetry removes its least
-    member.  Total passes cannot uncolor, so they take no cap."""
+    member.  Total passes cannot uncolor, so they take no cap.
 
-    def __init__(self, n, l, members, mode, partial, budget, sym, cap):
+    With `rank` the positions are the sets in rank_order(n), not in id
+    order: the cone masks, completion plans and S_n tables are conjugated
+    to match, and `best` is mapped back to ids.  Every argument above needs
+    only that no set comes after a superset, so the pass decides the same
+    bounds; its leaves are least in rank order instead."""
+
+    def __init__(self, n, l, members, mode, partial, budget, sym, cap, rank=False):
         self.size = 1 << n
         self.l = l
         self.cap = cap
@@ -110,18 +125,21 @@ class _MaxMinSearch:
         # inversion, and the prune test does not depend on queue order.
         self.waiting = [[] for _ in range(self.size)]
         if self.sym:
-            self.waiting[0] = [(inv, 0) for inv in all_subset_permutation_tables(n)[1:]]
+            perms = _rank_permutations(n) if rank else all_subset_permutation_tables(n)[1:]
+            self.waiting[0] = [(inv, 0) for inv in perms]
+        # where[s]: the position of set s, when positions are not ids
+        self.where = rank_positions(n) if rank else None
         self.assign = [0] * self.size
         self.counts = [0] * (l + 1)
         self.color_mask = [0] * (l + 1)  # the placed sets of each color; [0] stays 0
         self.m = 0
         self.best: list[int] | None = None
-        self.incomp = mask_tables(n).incomp
+        self.incomp = (rank_tables(n) if rank else mask_tables(n)).incomp
         induced = mode == "induced"
         cliques = [p for p in members if induced and p.is_antichain() and p.size >= 4]
         self.needs = tuple(sorted({p.size - 2 for p in cliques}))
         self.plans = tuple(plan for p in members if p not in cliques
-                           for plan in completion_plans(p, induced, n))
+                           for plan in completion_plans(p, induced, n, rank))
         self.full = (1 << self.size) - 1
         self.allowed = [0 if any(p.size == 1 for p in members) else self.full] * (l + 1)
 
@@ -195,7 +213,8 @@ class _MaxMinSearch:
             low = min(self.counts[1:])
             if low < self.m:
                 return False
-            self.best = list(self.assign)
+            assign, where = self.assign, self.where
+            self.best = list(assign) if where is None else [assign[p] for p in where]
             self.m = low + 1
             return self.m > self.cap
         if self.nodes >= self.budget:
@@ -263,6 +282,15 @@ class _MaxMinSearch:
             for w in moved:
                 waiting[w].pop()
         return False
+
+
+@lru_cache(maxsize=None)  # one entry per n <= CANONICAL_CAP, built on first use
+def _rank_permutations(n: int) -> tuple[tuple[int, ...], ...]:
+    """The S_n tables but the identity, over rank-order positions: position
+    p goes to the position of its set's image."""
+    order, where = rank_order(n), rank_positions(n)
+    return tuple(tuple(map(where.__getitem__, map(table.__getitem__, order)))
+                 for table in all_subset_permutation_tables(n)[1:])
 
 
 def _equal_split_coloring(n: int, l: int, kind: str) -> Coloring:
@@ -345,8 +373,10 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
     downgrades the status to lower_bound_only; it never yields a wrong
     "optimal", `value` keeps the best class size found so far and `upper`
     is that root bound, since a pass cut short proves nothing above its
-    incumbent.  Budget 0 runs the set-up and seeding only; a negative
-    budget is an error.  Witnesses found by search are the lexicographically least
+    incumbent.  The budget covers both passes, the rank-order refutation
+    of a seed and the id-order climb; `passes` counts the nodes of each.
+    Budget 0 runs the set-up and seeding only; a negative budget is an
+    error.  Witnesses found by search are the lexicographically least
     valid assignment at the optimum; a witness taken straight from a
     construction or from WITNESSES is reported via seed_source, and
     use_construction_seed=False turns both seeds off.
@@ -384,14 +414,34 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
 
     if sym_prune is None:
         sym_prune = n <= CANONICAL_CAP
-    search = _MaxMinSearch(n, l, members, forbidden.mode, kind == "partial",
-                           budget, sym_prune, upper)
-    # with no witness yet (total colorings may be infeasible outright, for
-    # 1-element members) the pass starts at m = 0 and takes any valid leaf
-    finished = search.run(lo + 1)
+    prunes = {"count": 0, "hall": 0, "symmetry": 0}
+
+    def run(rank: bool, ceiling: int, nodes: int):
+        search = _MaxMinSearch(n, l, members, forbidden.mode, kind == "partial", nodes,
+                               sym_prune, ceiling, rank)
+        finished = search.run(lo + 1)
+        for reason, count in zip(prunes, (search.count_prunes, search.hall_prunes,
+                                          search.sym_prunes)):
+            prunes[reason] += count
+        return search, finished
+
+    # A construction or WITNESSES seed is often optimal, and then refuting
+    # lo + 1 is the whole proof, which rank order makes in far fewer nodes.
+    # Only when that pass finds a leaf does the id-order climb run, from the
+    # same seed, so a finished solve's value and witness are the climb's own.
+    refute = climb = None
+    if source not in ("empty", "none"):
+        refute, finished = run(True, lo + 1, budget)
+    if refute is None or refute.best is not None:
+        # with no witness yet (total colorings may be infeasible outright,
+        # for 1-element members) the pass starts at m = 0 and takes any
+        # valid leaf
+        climb, finished = run(False, upper, budget - (refute.nodes if refute else 0))
+    passes = {"refute": refute.nodes if refute else 0, "climb": climb.nodes if climb else 0}
+    # the best incumbent, the climb's on a tie: a climb cut short may not
+    # have reached the leaf that beat the seed
+    search = max(filter(None, (climb, refute)), key=lambda search: search.m)
     lo = search.m - 1
-    prunes = {"count": search.count_prunes, "hall": search.hall_prunes,
-              "symmetry": search.sym_prunes}
     if search.best is not None:
         witness, source = Coloring(n, l, search.best), "search"
     # a pass cut short proves nothing above its incumbent; with no witness
@@ -402,7 +452,8 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
             source = "infeasible"
     elif (got := forbidden.certified_min(witness, kind)) is None or got < lo:
         raise AssertionError("internal error: unsound witness")
-    return SolveResult(lo, hi, witness, status, search.nodes, cap, source, prunes)
+    return SolveResult(lo, hi, witness, status, sum(passes.values()), cap, source, prunes,
+                       passes)
 
 
 # ---------------------------------------------------------------------------

@@ -212,11 +212,10 @@ def _telescoping_claim(seed, full, budget):
 def _delta_claim(seed, full, budget):
     bad = []
     for l in range(3, 201):
-        vals = bounds.delta_sequence(l)
-        if vals[0] != bounds.delta_l(l, 1):
+        pairs = list(bounds.delta_pairs(l))
+        if Fraction(*pairs[0]) != bounds.delta_l(l, 1):
             bad.append((l, "mismatch"))
-        if any(a.numerator * b.denominator <= b.numerator * a.denominator
-               for a, b in zip(vals, vals[1:])):
+        if any(a * d <= c * b for (a, b), (c, d) in zip(pairs, pairs[1:])):
             bad.append(l)
     return (), tuple(bad), None, ""
 

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 import rainbow_lattice
+from rainbow_lattice import cli
 from rainbow_lattice.cli import main
 from rainbow_lattice.experiments import congen_trial_rows, run_experiment
 
@@ -225,6 +226,47 @@ def test_a_directory_path_exits_2(make_argv, needle, tmp_path, capsys):
     assert run_cli(*make_argv(str(tmp_path))) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and needle in lines[0]
+
+
+def test_out_is_checked_before_the_command_runs(tmp_path, monkeypatch, capsys):
+    # the witness-seeded f(5,3,A3) solve takes about a second: an --out it
+    # cannot write exits 2 before the solve starts
+    def never(*args, **kwargs):
+        raise AssertionError("solved before --out was checked")
+
+    monkeypatch.setattr(cli, "solve_min_class", never)
+    argv = ("solve", "--n", "5", "--colors", "3", "--forbid", "A3", "--out")
+    assert run_cli(*argv, str(tmp_path)) == 2
+    assert run_cli(*argv, str(tmp_path / "missing" / "r.json")) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and "Is a directory" in lines[0] and "No such file" in lines[1]
+    monkeypatch.undo()
+    # a command that fails leaves no file behind, and one that succeeds
+    # replaces what the file held
+    out = tmp_path / "r.json"
+    assert run_cli("solve", "--n", "3", "--colors", "2", "--forbid", "X9", "--out", str(out)) == 2
+    assert not out.exists()
+    out.write_text("x" * 10_000)
+    assert run_cli("solve", "--n", "3", "--colors", "2", "--forbid", "A2", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["status"] == "optimal"
+
+
+_HUGE = "9" * 5000
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("decompose", "--n", "3", "--families", f"[[{_HUGE}]]"), "--families: integer"),
+    (("detect", "--family", f"[1, {_HUGE}]", "--poset", "A1"), "--family: integer"),
+    (("detect", "--family", f'["{{1,{_HUGE}}}"]', "--poset", "A1"), "--family: element"),
+    (("decompose", "--n", "3", "--families", f'[["{_HUGE}"]]'), "--families: subset id"),
+], ids=["families-integer", "family-integer", "family-element", "families-string-id"])
+def test_oversized_integer_exits_2_naming_the_flag(argv, message, capsys):
+    # more digits than Python converts at once: the error names the flag,
+    # not the interpreter's limit
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message} of 5000 digits is out of range\n"
 
 
 def test_huge_color_count_answers_at_once(tmp_path, capsys):

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from rainbow_lattice import kernel, solver
 from rainbow_lattice.coloring import Coloring, PosetFamily, class_stats, validate
-from rainbow_lattice.lattice import (all_subset_permutation_tables, canonical_assignment,
-                                     comparable, full_set, interval_members, Interval)
+from rainbow_lattice.lattice import (CANONICAL_CAP, all_subset_permutation_tables,
+                                     canonical_assignment, comparable, full_set,
+                                     interval_members, Interval)
 from rainbow_lattice.posets import build_poset
 from rainbow_lattice.solver import (az_decompose, cross_sperner_check,
                                     greedy_tuples_and_cover, solve_min_class)
@@ -40,6 +41,59 @@ def _agrees_with_oracle(n, l, specs, mode, kind):
                               use_construction_seed=False, sym_prune=sym_prune)
         assert (got.value, got.witness and list(got.witness.assign)) == (value, first), \
             (n, l, specs, mode, kind, sym_prune)
+
+
+def _id_order_climb(n, l, fam, kind):
+    """The solve as one id-order climb from the seed, with no rank-order
+    refutation first: (value, witness, seed_source, status)."""
+    seeded = solver._construction_seed(n, l, fam, kind)
+    if seeded is None:
+        seeded = (0, Coloring.empty(n, l), "empty") if kind == "partial" else (-1, None, "none")
+    lo, witness, source = seeded
+    cap = (1 << n) // l
+    if lo < cap:
+        search = solver._MaxMinSearch(n, l, list(fam.members), fam.mode, kind == "partial",
+                                      10 ** 9, n <= CANONICAL_CAP, cap)
+        assert search.run(lo + 1)
+        lo = search.m - 1
+        if search.best is not None:
+            witness, source = Coloring(n, l, search.best), "search"
+        elif witness is None:
+            source = "infeasible"
+    return lo, witness and list(witness.assign), source, "optimal"
+
+
+def _check_domains(specs, l, rank):
+    """Place random colors at n = 4 in id order (rank order with rank) and
+    check every color's domain beyond the newest position: exactly the sets
+    that would complete no rainbow copy with the sets placed so far (whose
+    other sets are colored, so placed, so earlier).  Copies are read as the
+    positions of their sets."""
+    members = [build_poset(s) for s in specs]
+    where = kernel.rank_positions(4) if rank else range(16)
+    for mode in ("induced", "weak"):
+        copies = {tuple(sorted(where[s] for s in t))
+                  for p in members for t in copy_tuples(4, p, mode)}
+        rng = random.Random(l)
+        for _ in range(6):
+            search = solver._MaxMinSearch(4, l, members, mode, True, 0, 0, 0, rank)
+            assign = search.assign
+            for pos in range(16):
+                c = rng.randrange(l + 1)
+                if c and search.allowed[c] >> pos & 1:
+                    assign[pos] = c
+                    search.color_mask[c] |= 1 << pos
+                    search._shrink(pos, c)
+                # lost[x]: the colors that x would complete a copy in
+                lost = {x: set() for x in range(pos + 1, 16)}
+                for t in copies:
+                    x, rest = t[-1], {assign[u] for u in t[:-1]}
+                    if x > pos and 0 not in rest and len(rest) == len(t) - 1:
+                        lost[x] |= set(range(1, l + 1)) - rest
+                for d in range(1, l + 1):
+                    for x in range(pos + 1, 16):
+                        want = d not in lost[x]
+                        assert (search.allowed[d] >> x & 1) == want, (mode, pos, d, x)
 
 
 def _full_prefix_lex_leader(invs, assign, pos):
@@ -78,12 +132,14 @@ class TestSolveKnownValues:
         assert res.nodes_explored == 0 and res.seed_source == "construction:pk"
 
     @pytest.mark.parametrize("spec,nodes,source,witness", [
-        ("P3", 687, "construction:p3", [3, 1, 2, 3] * 4),
-        ("V2", 476, "search", [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4),
+        ("P3", 437, "construction:p3", [3, 1, 2, 3] * 4),
+        ("V2", 514, "search", [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4),
     ], ids=["P3", "V2"])
     def test_search_pinned_n4(self, spec, nodes, source, witness):
         # exact node counts and witnesses: a detector change must not move the
-        # search, and a sound prune moves only the node count
+        # search, and a sound prune moves only the node count.  P3's seed is
+        # optimal, so the rank-order refutation is the whole solve; V2's is
+        # beaten in 38 nodes and the id-order climb takes 476
         res = solve_min_class(4, 3, PosetFamily.from_spec(spec))
         assert res.value == 4 and res.status == "optimal"
         assert res.nodes_explored == nodes
@@ -112,13 +168,14 @@ class TestSolveKnownValues:
         assert res.seed_source == "search" and list(res.witness.assign) == witness
 
     @pytest.mark.parametrize("spec,nodes,witness", [
-        ("V3", 690, [1, 1, 2, 1, 2, 1, 3, 4, 2, 3, 3, 4, 3, 4, 4, 2]),
-        ("P3+A1", 1305, [1, 1, 2, 3, 2, 4, 2, 3, 4, 2, 4, 3, 3, 4, 1, 1]),
+        ("V3", 713, [1, 1, 2, 1, 2, 1, 3, 4, 2, 3, 3, 4, 3, 4, 4, 2]),
+        ("P3+A1", 1328, [1, 1, 2, 3, 2, 4, 2, 3, 4, 2, 4, 3, 3, 4, 1, 1]),
     ], ids=["V3", "P3+A1"])
     def test_search_pinned_four_elements(self, spec, nodes, witness):
         # four-element members are forward-checked by their completion
         # plans: 10,230 and 29,503 nodes with a copy search per placement,
-        # and the same least witness
+        # and the same least witness; the rank-order pass beats each seed
+        # in 23 nodes, and the id-order climb takes 690 and 1,305
         res = solve_min_class(4, 4, PosetFamily.from_spec(spec))
         assert (res.value, res.upper, res.status, res.seed_source) == (4, 4, "optimal", "search")
         assert res.nodes_explored == nodes and list(res.witness.assign) == witness
@@ -299,33 +356,16 @@ class TestSolveOracle:
         (("D2",), 4), (("P4",), 5), (("V3",), 4), (("P3+A1",), 4),
         (("P3", "V2", "W2"), 3), (("A2", "D2"), 4), (("A4", "D2"), 5), (("A3", "P4"), 4)])
     def test_antichain_domains_are_exact(self, specs, l):
-        # sets placed in id order at n = 4, where B_4 holds induced A4 and
-        # A5: every color's domain above the newest set is exactly the sets
-        # that would complete no rainbow copy with the sets placed so far
-        # (whose other sets are colored, so placed, so below x)
-        members = [build_poset(s) for s in specs]
-        for mode in ("induced", "weak"):
-            copies = {tuple(sorted(t)) for p in members for t in copy_tuples(4, p, mode)}
-            rng = random.Random(l)
-            for _ in range(6):
-                search = solver._MaxMinSearch(4, l, members, mode, True, 0, 0, 0)
-                assign = search.assign
-                for pos in range(16):
-                    c = rng.randrange(l + 1)
-                    if c and search.allowed[c] >> pos & 1:
-                        assign[pos] = c
-                        search.color_mask[c] |= 1 << pos
-                        search._shrink(pos, c)
-                    # lost[x]: the colors that x would complete a copy in
-                    lost = {x: set() for x in range(pos + 1, 16)}
-                    for t in copies:
-                        x, rest = t[-1], {assign[u] for u in t[:-1]}
-                        if x > pos and 0 not in rest and len(rest) == len(t) - 1:
-                            lost[x] |= set(range(1, l + 1)) - rest
-                    for d in range(1, l + 1):
-                        for x in range(pos + 1, 16):
-                            want = d not in lost[x]
-                            assert (search.allowed[d] >> x & 1) == want, (mode, pos, d, x)
+        # sets placed in id order at n = 4, where B_4 holds induced A4 and A5
+        _check_domains(specs, l, rank=False)
+
+    @pytest.mark.parametrize("specs,l", [
+        (("A4",), 4), (("A4",), 6), (("A2",), 3), (("A3",), 3), (("P3",), 3), (("V2",), 3),
+        (("W2",), 3), (("D2",), 4), (("V3",), 4), (("A4", "D2"), 5), (("P3", "V2", "W2"), 3)])
+    def test_rank_order_domains_are_exact(self, specs, l):
+        # the same in rank order, over the conjugated cone masks, completion
+        # plans and clique walk of the rank-order refutation
+        _check_domains(specs, l, rank=True)
 
     def test_least_partial_witness_fills_every_class_exactly(self):
         # the lemma behind the partial cap: uncoloring a set keeps a valid
@@ -437,18 +477,62 @@ class TestSolveContract:
         assert res.value == 3  # the construction seed is already optimal here
         assert class_stats(res.witness).min_size >= res.value
 
+    def test_rank_refutation_changes_no_output(self):
+        # a seeded solve refutes seed + 1 in rank order first and climbs in
+        # id order only when that pass finds a leaf, so every output is the
+        # plain id-order climb's: each shape of at most three elements,
+        # c = |P|, at n <= 4
+        refuted = beaten = 0
+        for n in (2, 3, 4):
+            for spec in SMALL_SHAPES:
+                fam = PosetFamily.from_spec(spec)
+                l = fam.members[0].size
+                for kind in ("partial", "total"):
+                    res = solve_min_class(n, l, fam, kind=kind)
+                    got = (res.value, res.witness and list(res.witness.assign),
+                           res.seed_source, res.status)
+                    assert got == _id_order_climb(n, l, fam, kind), (n, spec, kind)
+                    assert sum(res.passes.values()) == res.nodes_explored
+                    refuted += res.passes["refute"] > 0
+                    beaten += res.passes["refute"] > 0 and res.passes["climb"] > 0
+        assert refuted > beaten > 0
+
+    def test_budget_inside_either_pass(self):
+        # f(4,3,P3): the p3 construction's 4 is optimal and the rank-order
+        # refutation of 5 takes 437 nodes; cut inside it, the solve keeps
+        # the seed and proves nothing above it
+        fam = PosetFamily.from_spec("P3")
+        seed = solver._construction_seed(4, 3, fam, "partial")
+        res = solve_min_class(4, 3, fam, budget=100)
+        assert (res.status, res.value, res.upper, res.seed_source) == (
+            "lower_bound_only", 4, 5, "construction:p3")
+        assert res.witness.assign == seed[1].assign
+        assert res.passes == {"refute": 100, "climb": 0} and res.nodes_explored == 100
+        assert res.to_json_dict()["passes"] == res.passes
+        # f(4,3,V2): the rank-order pass beats the traces seed (2) at its
+        # 38th node, and a climb cut short keeps that leaf, the best found
+        fam = PosetFamily.from_spec("V2")
+        res = solve_min_class(4, 3, fam, budget=100)
+        assert (res.status, res.value, res.upper, res.seed_source) == (
+            "lower_bound_only", 3, 5, "search")
+        assert res.passes == {"refute": 38, "climb": 62}
+        assert validate(res.witness, fam) is None and class_stats(res.witness).min_size == 3
+        done = solve_min_class(4, 3, fam, budget=514)
+        assert (done.status, done.value, done.passes) == (
+            "optimal", 4, {"refute": 38, "climb": 476})
+
     def test_budget_keeps_proven_upper_bound(self):
-        # lo = 3 from the chain construction, cap = 8.  The single pass
-        # refutes m = 4 in 221 nodes; one node fewer proves nothing above
+        # lo = 3 from the chain construction, cap = 8.  The rank-order pass
+        # refutes m = 4 in 196 nodes; one node fewer proves nothing above
         # the incumbent, so upper stays at the cap.
         fam = PosetFamily.from_spec("A2")
         res = solve_min_class(4, 2, fam, budget=100)
         assert (res.status, res.value, res.upper) == ("lower_bound_only", 3, 8)
         assert res.nodes_explored == 100
         assert res.to_json_dict()["upper"] == 8
-        done = solve_min_class(4, 2, fam, budget=221)
+        done = solve_min_class(4, 2, fam, budget=196)
         assert (done.status, done.value, done.upper) == ("optimal", 3, 3)
-        cut = solve_min_class(4, 2, fam, budget=220)
+        cut = solve_min_class(4, 2, fam, budget=195)
         assert (cut.status, cut.value, cut.upper) == ("lower_bound_only", 3, 8)
         # budget 0 is a set-up call: no node, no error
         none = solve_min_class(4, 2, fam, budget=0)
@@ -492,7 +576,7 @@ class TestSolveContract:
          "construction:pk", 10 ** 9),
         (4, 3, "partial", ["P3,V2,W2", "W2,P3,V2", '{"size": 3, "relations": [[1, 0], [1, 2]]}'
                            f',{_P3},W2'], "construction:lift3", 10 ** 9),
-        # budget 0: the seed alone, without the 431,969-node refutation of 8
+        # budget 0: the seed alone, without the 260,216-node refutation of 8
         (5, 3, "partial", ["A3", "A2+A1", '{"size": 3, "relations": []}'],
          "witness:f(5,3,A3)", 0),
     ])
@@ -505,7 +589,7 @@ class TestSolveContract:
         assert all(run == runs[0] for run in runs[1:])
 
     @pytest.mark.parametrize("n, l, spec, reduced, source", [
-        # optimal 7 from the witness table, in 431,969 nodes
+        # optimal 7 from the witness table, in 260,216 nodes
         (5, 3, "A3,P4", "A3", "witness:f(5,3,A3)"),
         (4, 4, "P4,A5", "P4", "construction:pk"),
         (4, 4, "D2,A5", "D2", "construction:lift3"),
@@ -524,11 +608,11 @@ class TestSolveContract:
 
     def test_a_repeated_member_changes_nothing(self):
         # A3,A3 is A3: the same seed from the witness table, the same
-        # 431,969-node refutation of 8, the same witness
+        # 260,216-node refutation of 8, the same witness
         res = solve_min_class(5, 3, PosetFamily.from_spec("A3,A3")).to_json_dict()
         assert res == solve_min_class(5, 3, PosetFamily.from_spec("A3")).to_json_dict()
         assert (res["status"], res["value"], res["seed_source"], res["nodes_explored"]) == (
-            "optimal", 7, "witness:f(5,3,A3)", 431_969)
+            "optimal", 7, "witness:f(5,3,A3)", 260_216)
 
     def test_json_shape(self):
         res = solve_min_class(2, 2, PosetFamily.from_spec("A2"))
