@@ -223,7 +223,9 @@ def _best_witness(c: Coloring, forbidden: PosetFamily, must: int | None) -> Rain
     if not (kernel.scan() if must is None else kernel.through(must)):
         return None
     best = None
-    for idx, p in members:
+    for (idx, p), shape in zip(members, kernel.shapes):
+        if must is None and shape and not kernel.closes([shape]):
+            continue  # the closure rule clears p: no candidate sweep
         sets = _lexmin_sets(p, must, kernel)
         if sets is not None and (best is None or sets < best[1]):
             best = (idx, sets)

@@ -11,6 +11,12 @@ sets that would complete a rainbow copy with the sets already placed come
 from one walk over each member's completion plans (completion_plans,
 complete), or from the clique walk for induced antichains of four or more
 elements (antichain_reach).
+
+A whole scan for a chain, or for an induced fork, join or diamond, closes
+whole-lattice masks instead of searching copies through each set: the sets
+above (below) some set of a family mask take one shift-OR per element of
+the ground set.  A chain takes one such closure per set of colors that can
+top it, a fork, join or diamond a spread of a few masks per colored set.
 """
 
 from __future__ import annotations
@@ -18,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, permutations
+from math import comb
 
 from .lattice import check_dimension
-from .posets import Poset
+from .posets import Poset, builtin_name
 
 _TABLE_BITS = 1 << 27  # mask bits kept per kind; a whole table takes 4^n, so n <= 13
 _ZEROS = b"0" * 256
@@ -142,6 +149,32 @@ def rank_tables(n: int) -> MaskTables:
                       tuple(everything ^ (d | u) for d, u in zip(down, up)))
 
 
+@lru_cache(maxsize=None)  # one entry per n
+def _spread_steps(n: int) -> tuple[tuple[int, int], ...]:
+    """(clear, bit) for each element of the ground set, bit = 2^i for
+    element i: clear holds the ids of B_n without i, so (F & clear) << bit
+    adds i to those sets of a family mask F and (F >> bit) & clear takes it
+    from them.  clear is a block of bit ones every 2 * bit ids, which one
+    division writes out."""
+    ones = (1 << (1 << n)) - 1
+    return tuple((ones // ((1 << 2 * bit) - 1) * ((1 << bit) - 1), bit)
+                 for bit in (1 << i for i in range(n)))
+
+
+def _above(family: int, steps) -> int:
+    """The sets above some set of family, those sets included."""
+    for clear, bit in steps:
+        family |= (family & clear) << bit
+    return family
+
+
+def _below(family: int, steps) -> int:
+    """The sets below some set of family, those sets included."""
+    for clear, bit in steps:
+        family |= family >> bit & clear
+    return family
+
+
 def _relation(poset: Poset, x: int, y: int, induced: bool, tables: MaskTables):
     """The table T with image(y) in T[image(x)] in every copy of poset, or
     None when the pair constrains nothing (incomparable, weak mode)."""
@@ -220,6 +253,39 @@ def completion_plans(poset: Poset, induced: bool, n: int, rank: bool = False):
     return tuple(plans.values())
 
 
+@lru_cache(maxsize=256)
+def _scan_plans(members: tuple[Poset, ...], induced: bool, n: int, l: int):
+    """How a kernel treats a family under l colors: (antichain sizes,
+    steps, newest, shapes).  steps are those of every member's copy plans,
+    for through; newest those of the plans pinning a maximal element of the
+    members scan searches copies of.  shapes[i] is the builtin name of
+    member i when a closure rule settles it in scan instead, else None.
+
+    A rule serves a chain in either mode (every copy of a chain is induced)
+    and an induced V2, W2 or D2.  It is taken where it scans faster than
+    the copy search on a valid coloring: from n = 6 for members of at most
+    three elements, whose copy search costs no more than closing every
+    class mask below that, and from n = 3 for larger ones.  The chain rule
+    closes one mask per color set of fewer than k colors, so it is kept to
+    at most 2^n of those."""
+    steps, newest, shapes = [], [], []
+    for p in members:
+        name, k, shape = builtin_name(p), p.size, None
+        if name and n >= (6 if k <= 3 else 3):
+            if name[0] == "P" and sum(comb(l, j) for j in range(1, k)) <= 1 << n:
+                shape = name
+            elif induced and name in ("V2", "W2", "D2"):
+                shape = name
+        shapes.append(shape)
+        if not p.is_antichain():
+            plans = _copy_plans(p, induced, n)
+            steps += [plan for _, plan in plans]
+            if not shape:
+                newest += [plan for maximal, plan in plans if maximal]
+    sizes = tuple(sorted({p.size for p in members if p.is_antichain()}))
+    return sizes, tuple(steps), tuple(newest), tuple(shapes)
+
+
 def complete(steps, cuts, imgs: list[int], colors: int, target: int, color_mask,
              allowed: list[int]) -> None:
     """Take from the color domains in allowed the sets of target that would
@@ -287,7 +353,10 @@ class RainbowKernel:
     only by toggle(); color_mask[0] stays 0.  Induced antichains take
     the clique walk of antichain_reach, weak ones a count of the colors in
     use (any k distinctly colored sets form a weak copy of A_k), every other
-    member the generic copy search.
+    member the generic copy search.  scan settles chains and the induced
+    V2, W2 and D2 by closure rules instead (closes: _chain, _pair) where
+    those pay, by n, l and the member's size (_scan_plans); shapes[i] is
+    then the builtin name of member i, else None.
     """
 
     def __init__(self, n: int, l: int, members, mode: str, assign):
@@ -297,9 +366,8 @@ class RainbowKernel:
         self.color_mask = class_masks(assign, l)
         self.incomp = mask_tables(n).incomp
         self.induced = mode == "induced"
-        self.antichain_sizes = sorted({p.size for p in members if p.is_antichain()})
-        self.plans = [plan for p in members if not p.is_antichain()
-                      for plan in _copy_plans(p, self.induced, n)]
+        self.antichain_sizes, self.plans, self.newest, self.shapes = _scan_plans(
+            tuple(members), self.induced, n, l)
 
     def toggle(self, s: int) -> None:
         """Make the colored set s available, or unavailable if it is: the
@@ -307,19 +375,38 @@ class RainbowKernel:
         self.color_mask[self.assign[s]] ^= 1 << s
 
     def scan(self) -> bool:
-        """Whether `assign` has a rainbow copy: each colored set is searched
-        through in ascending id order, with only the sets up to it, until a
-        copy turns up."""
+        """Whether `assign` has a rainbow copy: the members in shapes by
+        their closure rules, then each colored set searched through in
+        ascending id order, with only the sets up to it, until a copy turns
+        up."""
+        if any(self.shapes) and self.closes([shape for shape in self.shapes if shape]):
+            return True
+        if not (self.antichain_sizes or self.newest):
+            return False
         ids = compress(range(len(self.assign)), self.assign)  # the colored sets, at C speed
         return any(self.through(s, newest=True) for s in ids)
+
+    def closes(self, shapes) -> bool:
+        """Whether a rainbow copy of some member in shapes (the builtin
+        names of members with a closure rule) exists: each chain by _chain,
+        the forks, joins and diamonds by one _pair sweep.  Both take Up of
+        every color class, made once here."""
+        steps = _spread_steps(self.n)
+        pairs = [shape for shape in shapes if shape[0] != "P"]
+        ups = None
+        if any(shape != "W2" for shape in shapes):
+            ups = [_above(m, steps) if m else 0 for m in self.color_mask]
+        return (any(self._chain(int(shape[1:]), ups) for shape in shapes if shape[0] == "P")
+                or bool(pairs) and self._pair(pairs, ups))
 
     def through(self, pos: int, newest: bool = False) -> bool:
         """A rainbow copy of some member that uses the colored set pos.
 
-        newest says to use only the available sets with ids up to pos: the
-        masks are cut to them.  Proper supersets have larger ids, so pos can
-        then only be the image of a maximal element, and the others need not
-        be tried.
+        newest is scan's sweep: only the available sets with ids up to pos
+        are used, the masks cut to them, and only the members without a
+        closure rule.  Proper supersets have larger ids, so pos can then
+        only be the image of a maximal element, and the others need not be
+        tried.
         """
         base = self.assign[pos]
         upto = (2 << pos) - 1 if newest else -1
@@ -328,14 +415,15 @@ class RainbowKernel:
             for k in self.antichain_sizes:
                 if self._antichain(others, (pos,), pos, k, upto):
                     return True
-        if not self.plans:
+        plans = self.newest if newest else self.plans
+        if not plans:
             return False
         free = 0
         for c in range(1, self.l + 1):
             if c != base:
                 free |= self.color_mask[c] & upto
-        for maximal, steps in self.plans:
-            if (maximal or not newest) and self._extend(steps, 0, [pos], free, 0):
+        for steps in plans:
+            if self._extend(steps, 0, [pos], free, 0):
                 return True
         return False
 
@@ -427,6 +515,90 @@ class RainbowKernel:
                             return True
                         imgs.pop()
                 m ^= low
+        return False
+
+    def _chain(self, k: int, ups: list[int]) -> bool:
+        """A rainbow chain of k >= 2 sets, given ups[c] = Up(class c).
+        top[S], the sets that top a rainbow chain colored exactly S, is the
+        OR over c in S of class c & Up(top[S - c]), and top[{c}] is class c.
+        Up keeps each set of top[S - c], yet the step is strict: a set of
+        class c has no color of S - c."""
+        steps = _spread_steps(self.n)
+        tops = {1 << c: m for c, m in enumerate(self.color_mask) if m}
+        for size in range(2, k + 1):
+            grown = {}
+            for colors, top in tops.items():
+                up = ups[colors.bit_length() - 1] if size == 2 else _above(top, steps)
+                for c, m in enumerate(self.color_mask):
+                    if colors >> c & 1 or not (hit := m & up):
+                        continue
+                    if size == k:
+                        return True
+                    key = colors | 1 << c
+                    grown[key] = grown.get(key, 0) | hit
+            tops = grown
+        return False
+
+    def _pair(self, shapes, ups: list[int] | None) -> bool:
+        """An induced rainbow copy of a shape of shapes (V2, W2, D2), given
+        ups[c] = Up(class c) unless shapes is W2 alone.  Each is two
+        incomparable sets b and c of colors beta and gamma, with an
+        alpha-set below both (V2, D2) and a delta-set above both (W2, D2),
+        the colors distinct.  Below both means inside b & c and above both
+        containing b | c, as b and c are incomparable.  So for each colored
+        b, the sets c whose meet with b contains an alpha-set are
+        Up(class alpha) & down[b] spread over the elements outside b, and
+        those whose join with b lies in a delta-set are Down(class delta) &
+        up[b] spread down over the elements of b.  c is taken above b in id
+        order, as the shapes are symmetric in b and c, and a spread is made
+        only while some candidate c lies above an alpha-set (below a
+        delta-set) at all."""
+        vee, wedge, diamond = "V2" in shapes, "W2" in shapes, "D2" in shapes
+        l, cm, steps = self.l, self.color_mask, _spread_steps(self.n)
+        tables = mask_tables(self.n)
+        colored = 0
+        for m in cm:
+            colored |= m
+        others = [colored ^ m for m in cm]
+        downs = [_below(m, steps) if m else 0 for m in cm] if wedge or diamond else None
+        for b in compress(range(len(self.assign)), self.assign):
+            beta = self.assign[b]
+            cands = tables.incomp[b] >> b + 1 << b + 1 & others[beta]
+            if not cands:
+                continue
+            meets = []  # (alpha, the candidates c with an alpha-set inside b & c)
+            if vee or diamond:
+                for a in range(1, l + 1):
+                    if a == beta or not (x := cands & ups[a] & others[a]):
+                        continue
+                    if not (meet := ups[a] & tables.down[b]):
+                        continue
+                    for clear, bit in steps:
+                        if not b & bit:
+                            meet |= (meet & clear) << bit
+                    if x := x & meet:
+                        if vee:
+                            return True
+                        meets.append((a, x))
+            if not (wedge or meets):
+                continue
+            for d in range(1, l + 1):
+                if d == beta or not (y := cands & downs[d] & others[d]):
+                    continue
+                if not wedge:  # a diamond needs c among the meets of another color
+                    near = 0
+                    for a, x in meets:
+                        if a != d:
+                            near |= x
+                    if not (y := y & near):
+                        continue
+                if not (join := downs[d] & tables.up[b]):
+                    continue
+                for clear, bit in steps:
+                    if b & bit:
+                        join |= join >> bit & clear
+                if y & join:
+                    return True
         return False
 
     def _antichain(self, others: list[int], required, x: int, size: int, upto: int = -1) -> bool:

@@ -125,8 +125,7 @@ class _MaxMinSearch:
         # inversion, and the prune test does not depend on queue order.
         self.waiting = [[] for _ in range(self.size)]
         if self.sym:
-            perms = _rank_permutations(n) if rank else all_subset_permutation_tables(n)[1:]
-            self.waiting[0] = [(inv, 0) for inv in perms]
+            self.waiting[0] = [(inv, 0) for inv in _permutation_tables(n, rank)]
         # where[s]: the position of set s, when positions are not ids
         self.where = rank_positions(n) if rank else None
         self.assign = [0] * self.size
@@ -284,13 +283,16 @@ class _MaxMinSearch:
         return False
 
 
-@lru_cache(maxsize=None)  # one entry per n <= CANONICAL_CAP, built on first use
-def _rank_permutations(n: int) -> tuple[tuple[int, ...], ...]:
-    """The S_n tables but the identity, over rank-order positions: position
-    p goes to the position of its set's image."""
+@lru_cache(maxsize=None)  # one entry per n <= CANONICAL_CAP and order, built on first use
+def _permutation_tables(n: int, rank: bool) -> tuple[tuple[int, ...], ...]:
+    """The S_n tables but the identity, over ids, or with rank over
+    rank-order positions: position p goes to the position of its set's
+    image."""
+    if not rank:
+        return tuple(map(tuple, all_subset_permutation_tables(n)[1:]))
     order, where = rank_order(n), rank_positions(n)
     return tuple(tuple(map(where.__getitem__, map(table.__getitem__, order)))
-                 for table in all_subset_permutation_tables(n)[1:])
+                 for table in _permutation_tables(n, False))
 
 
 def _equal_split_coloring(n: int, l: int, kind: str) -> Coloring:

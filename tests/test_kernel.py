@@ -119,14 +119,16 @@ def test_copy_using_agrees_with_oracle(case):
 # for every colored s, in call order, recorded from a search that placed
 # every image one by one.  The D2, V2 and W2 strings dropped the calls of
 # the plans that only relabel an earlier one; each returned what its kept
-# twin returned.
+# twin returned.  At n = 5 the closure rule settles D2 in scan(), so the D2
+# strings hold only the calls of through(s): the earlier strings less their
+# first 13 and 11 characters, the calls scan() made.
 N5_CASES = {
-    (0, "D2", "induced", 4): "000000000000100000000000000000010000100001000001",
+    (0, "D2", "induced", 4): "00000000000000000010000100001000001",
     (0, "P3", "induced", 3): "00000000001000100000000000000000000001001",
     (0, "V2", "induced", 3): "00000000001001000100000000000001",
     (0, "W2", "induced", 3): "00000000001010101000101010000011",
     (0, "P2+A1", "weak", 3): "0000000000000011110111101001101",
-    (1, "D2", "induced", 4): "00000000001110101000010000000101001001",
+    (1, "D2", "induced", 4): "110101000010000000101001001",
     (1, "P3", "induced", 3): "000011111010000000100000100101001",
     (1, "V2", "induced", 3): "00000111110101110101010101",
     (1, "W2", "induced", 3): "000010001010010001010111011",
@@ -158,14 +160,16 @@ def test_n5_scan_and_through_match_oracle(seed, spec, mode, l, monkeypatch):
     assert "".join(calls) == N5_CASES[seed, spec, mode, l]
 
 
-@pytest.mark.parametrize("spec", ["P2", "A2"])
+@pytest.mark.parametrize("spec", ["P2+A1", "A2"])
 def test_color_masks_stay_the_class_masks(spec, monkeypatch):
     # the masks are built once from the bytes: a scan that stops at the
-    # first copy writes none of them, and a toggle pair restores them
+    # first copy writes none of them, and a toggle pair restores them.  Both
+    # members take the copy search, which pins sets through `through`
     rng = random.Random(7)
     assign = bytearray([1, 2, 1, 0] + [rng.randint(0, 3) for _ in range(59)] + [3])
     want = class_masks(assign, 3)
-    kernel = RainbowKernel(6, 3, [build_poset(spec)], "induced", assign)
+    mode = "weak" if spec == "P2+A1" else "induced"
+    kernel = RainbowKernel(6, 3, [build_poset(spec)], mode, assign)
     assert kernel.color_mask == want
     pinned = []
     through = RainbowKernel.through
@@ -176,8 +180,9 @@ def test_color_masks_stay_the_class_masks(spec, monkeypatch):
 
     monkeypatch.setattr(RainbowKernel, "through", recording)
     assert kernel.scan()
-    # the empty set lies below {1}; {1} and {2} are incomparable
-    assert pinned == ([0, 1] if spec == "P2" else [0, 1, 2])
+    # a weak P2+A1 takes three colors, first met at {1, 2} (id 6, color 3),
+    # which lies above the empty set; {1} and {2} are incomparable
+    assert pinned == ([0, 1, 2, 4, 5, 6] if spec == "P2+A1" else [0, 1, 2])
     assert kernel.color_mask == want
     for s in (1, 63):
         kernel.toggle(s)
@@ -188,7 +193,9 @@ def test_color_masks_stay_the_class_masks(spec, monkeypatch):
 
 def test_copy_search_calls_on_the_four_color_lift3(monkeypatch):
     # a valid coloring makes the search try everything; an x that leaves the
-    # next image no candidate is skipped without a call
+    # next image no candidate is skipped without a call.  scan settles D2 by
+    # its closure rule and makes no call, so the copy search is counted on
+    # through(s) for every set s, which runs all three plans
     calls = 0
     extend = RainbowKernel._extend
 
@@ -197,10 +204,68 @@ def test_copy_search_calls_on_the_four_color_lift3(monkeypatch):
         calls += 1
         return extend(self, *args)
 
-    monkeypatch.setattr(RainbowKernel, "_extend", counting)
     rep = lift3_coloring(10, "four_color")
+    kernel = RainbowKernel(10, 4, [build_poset("D2")], "induced", rep.coloring.assign)
+    monkeypatch.setattr(RainbowKernel, "_extend", counting)
     assert validate(rep.coloring, PosetFamily.from_spec("D2")) is None
-    assert calls == 14_146
+    assert calls == 0
+    assert not any(kernel.through(s) for s in range(1 << 10))
+    assert calls == 42_438
+
+
+# the members the closure rules serve: chains in either mode, and the
+# induced fork, join and diamond
+CLOSURE_SPECS = [*((f"P{k}", mode) for k in range(2, 6) for mode in ("induced", "weak")),
+                 ("V2", "induced"), ("W2", "induced"), ("D2", "induced")]
+
+
+@lru_cache(maxsize=None)
+def _closure_tuples(n, spec, mode):
+    if (n, spec) == (5, "P5"):  # every P5 in B_5 tops a P4 with one more set
+        return [t + (s,) for t in _tuples(5, "P4", mode) for s in range(32)
+                if is_subset(t[-1], s) and s != t[-1]]
+    return _tuples(n, spec, mode)
+
+
+@st.composite
+def closure_cases(draw):
+    # random partial colorings, half the time thinned out to about half the
+    # sets, and half the time with a rainbow copy planted on top
+    spec, mode = draw(st.sampled_from(CLOSURE_SPECS))
+    size = build_poset(spec).size
+    n = draw(st.integers(1, 5))
+    l = draw(st.integers(size, size + 2))
+    assign = draw(st.lists(st.integers(0, l), min_size=1 << n, max_size=1 << n))
+    if draw(st.booleans()):
+        keep = draw(st.integers(0, (1 << (1 << n)) - 1))
+        assign = [c if keep >> s & 1 else 0 for s, c in enumerate(assign)]
+    tuples = _closure_tuples(n, spec, mode)
+    if tuples and draw(st.booleans()):
+        planted = draw(st.sampled_from(tuples))
+        for s, c in zip(planted, draw(st.permutations(range(1, l + 1)))):
+            assign[s] = c
+    return n, l, spec, mode, assign
+
+
+@settings(max_examples=500, deadline=None)
+@given(closure_cases())
+def test_closure_rules_agree_with_oracle(case):
+    # the rules whatever n is, scan takes them only where they pay
+    n, l, spec, mode, assign = case
+    kernel = RainbowKernel(n, l, [build_poset(spec)], mode, bytearray(assign))
+    want = oracle_has_rainbow(assign, _closure_tuples(n, spec, mode))
+    assert kernel.closes([spec]) == want
+
+
+@pytest.mark.parametrize("spec, mode, n, l, shape", [
+    ("P3", "induced", 5, 3, None), ("P3", "weak", 6, 3, "P3"), ("V2", "induced", 6, 3, "V2"),
+    ("V2", "weak", 6, 3, None), ("D2", "induced", 3, 4, "D2"), ("P2+A1", "induced", 8, 3, None),
+    # P4 under four colors closes 14 masks: more than the 8 sets of B_3
+    ("P4", "induced", 3, 4, None), ("P4", "induced", 4, 4, "P4"), ("A3", "induced", 8, 3, None)])
+def test_scan_takes_a_closure_rule_where_it_pays(spec, mode, n, l, shape):
+    kernel = RainbowKernel(n, l, [build_poset(spec)], mode, bytearray(1 << n))
+    assert kernel.shapes == (shape,)
+    assert not kernel.scan()
 
 
 @st.composite
