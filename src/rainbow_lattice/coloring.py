@@ -181,31 +181,23 @@ def _lexmin_sets(poset: Poset, must: int | None, kernel: RainbowKernel):
     ascending, or None when poset has no rainbow copy (through must).
 
     Greedy: the next set is the least x such that some copy uses the sets
-    chosen so far, x and must, and otherwise only sets above x.  The
-    candidates x are the kernel's colored sets above the last one chosen,
-    and not above must until must is chosen; the kernel answers for each.
+    chosen so far, x and must, and otherwise only sets above x, among the
+    sets above the last one chosen and not above must until must is chosen.
+    Each position is one step the kernel builds once from the required sets
+    (those chosen and a pending must) and asks of each candidate (least_using).
     """
-    colored = 0
-    for m in kernel.color_mask:
-        colored |= m
     chosen: list[int] = []
     while len(chosen) < poset.size:
-        floor = chosen[-1] + 1 if chosen else 0
-        cand = colored >> floor << floor
+        cand = -1 << chosen[-1] + 1 if chosen else -1
         pending = must is not None and must not in chosen
         if pending:
             cand &= (2 << must) - 1
-        while cand:
-            x = (cand & -cand).bit_length() - 1
-            req = chosen + [x] + ([must] if pending and x != must else [])
-            if kernel.copy_using(poset, x, req):
-                chosen.append(x)
-                break
-            cand ^= 1 << x
-        else:
+        x = kernel.least_using(poset, chosen + [must] if pending else chosen, cand)
+        if x is None:
             if not chosen:
                 return None
             raise AssertionError("witness disappeared during minimization")
+        chosen.append(x)
     return tuple(chosen)
 
 
@@ -222,16 +214,14 @@ def _best_witness(c: Coloring, forbidden: PosetFamily, must: int | None) -> Rain
     kernel = RainbowKernel(c.n, c.l, [p for _, p in members], mode, c.assign)
     if not (kernel.scan() if must is None else kernel.through(must)):
         return None
-    best = None
-    for (idx, p), shape in zip(members, kernel.shapes):
-        if must is None and shape and not kernel.closes([shape]):
-            continue  # the closure rule clears p: no candidate sweep
-        sets = _lexmin_sets(p, must, kernel)
-        if sets is not None and (best is None or sets < best[1]):
-            best = (idx, sets)
-    if best is None:
+    # each member's least sets, ties to the lower index; a member the closure
+    # rule clears makes no candidate sweep
+    found = [(sets, idx) for (idx, p), shape in zip(members, kernel.shapes)
+             if (must is not None or not shape or kernel.closes([shape]))
+             and (sets := _lexmin_sets(p, must, kernel)) is not None]
+    if not found:
         return None
-    idx, sets = best
+    sets, idx = min(found)
     p = forbidden.members[idx]
     emb = embed_poset(p, mode, sets)
     return RainbowWitness(idx, p, sets, emb, tuple(c.assign[s] for s in sets))

@@ -356,16 +356,14 @@ class RainbowKernel:
     member the generic copy search.  scan settles chains and the induced
     V2, W2 and D2 by closure rules instead (closes: _chain, _pair) where
     those pay, by n, l and the member's size (_scan_plans); shapes[i] is
-    then the builtin name of member i, else None.
+    then the builtin name of member i, else None.  The least-witness search
+    builds one step per position and asks it of each candidate (least_using).
     """
 
     def __init__(self, n: int, l: int, members, mode: str, assign):
-        self.n = n
-        self.l = l
-        self.assign = assign
+        self.n, self.l, self.assign = n, l, assign
         self.color_mask = class_masks(assign, l)
-        self.incomp = mask_tables(n).incomp
-        self.induced = mode == "induced"
+        self.incomp, self.induced = mask_tables(n).incomp, mode == "induced"
         self.antichain_sizes, self.plans, self.newest, self.shapes = _scan_plans(
             tuple(members), self.induced, n, l)
 
@@ -412,47 +410,66 @@ class RainbowKernel:
         upto = (2 << pos) - 1 if newest else -1
         if self.antichain_sizes:
             others = [m for c, m in enumerate(self.color_mask) if c != base]
+            window = self.incomp[pos] & upto if self.induced else upto
             for k in self.antichain_sizes:
-                if self._antichain(others, (pos,), pos, k, upto):
+                if self._antichain(others, k - 1, pos, window):
                     return True
         plans = self.newest if newest else self.plans
         if not plans:
             return False
-        free = 0
-        for c in range(1, self.l + 1):
-            if c != base:
-                free |= self.color_mask[c] & upto
+        free = sum(m for c, m in enumerate(self.color_mask) if c != base) & upto  # disjoint masks
         for steps in plans:
             if self._extend(steps, 0, [pos], free, 0):
                 return True
         return False
 
     def copy_using(self, poset: Poset, x: int, required) -> bool:
-        """A rainbow copy of poset that uses every set of `required`
-        (colored sets, x among them) and otherwise only available sets with
-        ids above x: one step of the lexicographically least witness search.
+        """A rainbow copy of poset through every set of `required` (x among
+        them), other sets above x: least_using with the one candidate x."""
+        return self.least_using(poset, set(required) - {x}, 1 << x) == x
 
-        Each required set's color is cut down to that set and every other
-        color to its sets above x, so no other set of a required color is
-        ever a candidate.
-        """
-        req = set(required)
-        colors = {self.assign[s] for s in req}
-        if len(req) > poset.size or len(colors) < len(req):
-            return False
-        above = -1 << (x + 1)
-        others = [m & above for c, m in enumerate(self.color_mask) if c not in colors]
-        if poset.is_antichain():
-            return self._antichain(others, req, x, poset.size)
-        need = 0
-        for s in req:
-            if s != x:
-                need |= 1 << s
-        free = need
-        for m in others:
-            free |= m
-        return any(self._extend(steps, 0, [x], free, need)
-                   for _, steps in _copy_plans(poset, self.induced, self.n))
+    def least_using(self, poset: Poset, required, cand: int) -> int | None:
+        """The least x of the mask cand such that a rainbow copy of poset
+        uses x and every set of `required` (colored; x may be one of them)
+        and otherwise only available sets above x, or None: one step of the
+        least-witness search.  Built once from required: its colors and mask,
+        the other colors' sets (the only other candidates: a required color
+        is cut down to its set), the copy plans and, for an induced antichain,
+        the sets incomparable to all of required.  A candidate pays for its
+        class and the sets above it; a plan with no first-image candidate is skipped."""
+        assign, masks, induced = self.assign, self.color_mask, self.induced
+        colors = {assign[s] for s in required}
+        need = sum(1 << s for s in required)
+        left = poset.size - len(required)  # images beyond the required sets
+        if len(colors) < len(required) or left < 0:
+            return None
+        pool = sum(m for c, m in enumerate(masks) if c not in colors)  # disjoint masks
+        antichain, inc = poset.is_antichain(), -1
+        if antichain and induced:
+            for s in required:
+                if not inc >> s & 1:  # s is comparable to a required set
+                    return None
+                inc &= self.incomp[s]
+        cand &= (pool & inc if left else 0) | need
+        plans = [(steps[0][0][0] if steps[0] else None, steps)  # a first step: one table at most
+                 for _, steps in (() if antichain else _copy_plans(poset, induced, self.n))]
+        while cand:
+            low = cand & -cand
+            x = low.bit_length() - 1
+            rest, above = need ^ (need & low), -2 << x
+            if antichain:
+                others = [m for c, m in enumerate(masks) if c != assign[x] and c not in colors]
+                window = inc & self.incomp[x] if induced else -1
+                if self._antichain(others, left - (rest == need), x, window & above):
+                    return x
+            else:
+                free = pool & above & ~masks[assign[x]] | rest
+                for first, steps in plans:
+                    if ((first is None or free & first[x])
+                            and self._extend(steps, 0, [x], free, rest)):
+                        return x
+            cand ^= low
+        return None
 
     def _extend(self, steps, k: int, imgs: list[int], free: int, need: int) -> bool:
         """Place steps[k:] given the images so far; `free` holds the
@@ -504,7 +521,7 @@ class RainbowKernel:
                 x = low.bit_length() - 1
                 hit = rest if link is None else rest & link[x]
                 if hit:
-                    # need is 0 outside copy_using: skip a big-int ~low per candidate
+                    # need is 0 outside least_using: skip a big-int ~low per candidate
                     left = need & ~low if need else 0
                     if last:
                         if not left or hit & left:
@@ -601,23 +618,16 @@ class RainbowKernel:
                     return True
         return False
 
-    def _antichain(self, others: list[int], required, x: int, size: int, upto: int = -1) -> bool:
-        """A rainbow antichain of size elements made of the sets of required
-        (x among them) and one set from each of size - len(required) masks
-        of others, the available sets of the colors not in required, cut to
-        upto: pairwise incomparable (induced), or any that many nonempty
-        masks (weak)."""
-        need = size - len(required)
+    def _antichain(self, others: list[int], need: int, x: int, window: int) -> bool:
+        """A rainbow antichain through x completed by one set from each of
+        need masks of others (the colors not used yet) within window: any
+        that many masks meeting it (weak), or a clique (induced, window then
+        lying in the incomparable sets of each set placed, x among them)."""
         if not self.induced:
-            return sum(1 for m in others if m & upto) >= need
-        inc = upto
-        for s in required:
-            if not inc >> s & 1:  # s is comparable to a required set, or beyond upto
-                return False
-            inc &= self.incomp[s]
+            return sum(1 for m in others if m & window) >= need
         if not need:
             return True
-        cut = [m for cm in others if (m := cm & inc)]
+        cut = [m for cm in others if (m := cm & window)]
         # the masks lie in incomp[x], so x is reached iff a clique exists
         return bool(antichain_reach(cut, need, 1 << x, self.incomp))
 

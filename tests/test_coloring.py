@@ -47,6 +47,8 @@ def test_validate_examples():
     assert w is not None and w.sets == (1, 2)
 
     assert validate(Coloring.empty(3, 2), PosetFamily.from_spec("A2,P2,D2")) is None
+    # a one-element member: any colored set is a copy
+    assert validate(Coloring(2, 2, [0, 1, 0, 2]), PosetFamily.from_spec("A1,P2")).sets == (1,)
 
     rep = p3_total_coloring(4)
     assert validate(rep.coloring, PosetFamily.from_spec("P3")) is None
@@ -157,6 +159,52 @@ def test_validate_incremental_is_least_witness_through_the_set(case, spec, mode)
         got = validate_incremental(Coloring(n, l, assign), s,
                                    PosetFamily((build_poset(spec),), mode))
     assert (None if got is None else got.sets) == (want[0] if want else None)
+
+
+# families of several members: the witness is the least over every member,
+# and from n = 6 the fork, join and chain are cleared by their closure rules
+# before any candidate sweep.  D2's copy tuples take ~20 s to enumerate at
+# n = 6 (2-core machine), so its families stop at n = 5, where its closure
+# rule already runs (from n = 3).
+MULTI_FAMILIES = ("P3,V2,W2", "A3,D2", "A2,P3", "V2,D2", "A3,P2+A1")
+
+
+@st.composite
+def family_cases(draw):
+    """(spec, mode, n, l, assign, s) with a few sets colored, s among them,
+    so that some members have a rainbow copy and others not."""
+    spec = draw(st.sampled_from(MULTI_FAMILIES))
+    mode = draw(st.sampled_from(("induced", "weak")))
+    n = draw(st.integers(4, 5 if "D2" in spec else 6))
+    l = draw(st.integers(2, 5))
+    colored = draw(st.dictionaries(st.integers(0, (1 << n) - 1), st.integers(1, l),
+                                   min_size=1, max_size=3 * n))
+    s = draw(st.sampled_from(sorted(colored)))
+    return spec, mode, n, l, [colored.get(t, 0) for t in range(1 << n)], s
+
+
+@settings(max_examples=120, deadline=None)
+@given(family_cases())
+# {0} and {1} below {0, 1}: only the join, after the chain's and the fork's
+# closure rules clear them
+@example(("P3,V2,W2", "induced", 6, 3, [0, 1, 2, 3] + [0] * 60, 3))
+# the empty set below {0} and {1}: the fork, after the diamond's rule clears it
+@example(("V2,D2", "induced", 5, 4, [1, 2, 3] + [0] * 29, 2))
+def test_family_witness_is_least_over_its_members(case):
+    spec, mode, n, l, assign, s = case
+    fam = PosetFamily.from_spec(spec, mode)
+    # each member's witnesses with its index: the least sets win, ties to the lower index
+    per_member = [(oracle_rainbow_witnesses(assign, _tuples(n, name, mode)), idx)
+                  for idx, name in enumerate(spec.split(",")) if fam.members[idx].size <= l]
+    c = Coloring(n, l, assign)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # oversized members and weak antichains
+        for got, through in ((validate(c, fam), None), (validate_incremental(c, s, fam), s)):
+            want = min(((sets, idx) for ws, idx in per_member for sets in ws
+                        if through is None or through in sets), default=None)
+            assert (None if got is None else (got.sets, got.member_index)) == want
+            if got is not None:
+                assert got.colors == tuple(assign[t] for t in got.sets)
 
 
 def _reference_lexmin(c, poset, mode, must):
