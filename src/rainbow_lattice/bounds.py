@@ -186,15 +186,17 @@ def delta_sequence(l: int) -> list[Fraction]:
 def eq_sweep(l_max: int) -> list[tuple[int, int]]:
     """Every (l, i) with 2 <= l <= l_max violating the stage-overlap
     inequality; the product is carried incrementally as a reduced integer
-    numerator/denominator pair.  Expected to come back empty."""
+    numerator/denominator pair.  Expected to come back empty.  The test is
+    _stage_overlap_exceeds, written inline: it runs once per (l, i)."""
     bad = []
     for l in range(2, l_max + 1):
         num = den = 1
+        edge = 3 * l - 1
         for i in range(1, l):
             num, den = num * (l - i) ** 2, den * (l - i + 1) ** 2
             g = gcd(num, den)
             num, den = num // g, den // g
-            if _stage_overlap_exceeds(l, i, num, den):
+            if 3 * (i * den + l * num) > edge * den:
                 bad.append((l, i))
     return bad
 

@@ -4,12 +4,12 @@ cross-incomparability and greedy-cover diagnostics.
 The solver finds the largest m such that a valid (partial or total)
 l-coloring with every class of size >= m exists, in a depth-first climb
 over subset ids with first-use color symmetry breaking and, up to
-n = CANONICAL_CAP, exact S_n orbit pruning by an incremental lex-leader
-check at every depth.  Every forbidden member is forward-checked: each
-color keeps a domain mask of the sets it may still take, so a color that
-would complete a rainbow copy is never tried and no copy search is needed,
-and the pass backs up once some color can no longer reach m, alone or, by
-Hall's condition, together with other short colors.  A partial pass never
+n = CANONICAL_CAP, pruning under element and color permutations by an
+incremental lex-leader check at every depth.  Every forbidden member is
+forward-checked: each color keeps a domain mask of the sets it may still
+take, so a color that would complete a rainbow copy is never tried and no
+copy search is needed, and the pass backs up once some color can no longer
+reach m, alone or, by Hall's condition, together with other short colors.  A partial pass never
 gives a color more than m sets: the least valid assignment with every class
 >= m has every class exactly m.
 The climb starts one above the best seed's value and raises m past each
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .coloring import Coloring, PosetFamily, validate
+from .coloring import Coloring, PosetFamily, class_stats, validate
 from .constructions import (chain_interval_coloring, incomparable_traces,
                             lift3_coloring, p3_total_coloring, pk_coloring)
 from .kernel import (antichain_reach, complete, completion_plans, mask_tables, rank_order,
@@ -52,7 +52,8 @@ class SolveResult:
     nodes_explored: int
     cap: int
     seed_source: str = "none"
-    # nodes cut by each bound: per-color count, Hall, S_n lex-leader
+    # nodes cut by each bound: per-color count, Hall, lex-leader under
+    # element and color permutations
     prunes: dict = field(default_factory=lambda: {"count": 0, "hall": 0, "symmetry": 0})
     # nodes of each pass: the rank-order refutation of a seed, the id-order climb
     passes: dict = field(default_factory=lambda: {"refute": 0, "climb": 0})
@@ -83,13 +84,15 @@ class _MaxMinSearch:
     A color still short of m by d sets needs d of the sets left in its
     domain, and by Hall's condition every set of two or more short colors
     needs the union of their domains to hold the sum of their deficits.
-    With `sym` on, the pass visits only lex-leaders: assignments that no
-    element permutation maps to a lexicographically smaller one.  Each
-    permutation still tied with the prefix waits in `waiting[w]` for the
-    position w that its next comparison reads; placing w advances only
-    those, prunes when one maps the prefix below itself and drops one that
-    maps it above.  The least valid assignment at any bound is the least
-    of its orbit, so neither prune changes the value or the witness.
+    With `sym` on, the pass visits only lex-leaders under element and color
+    permutations: assignments that no element permutation, with the image's
+    colors renamed in order of first use as the search numbers its own,
+    maps to a lexicographically smaller one.  Each permutation still tied
+    with the prefix waits in `waiting[w]` for the position w that its next
+    comparison reads; placing w advances only those, prunes when one maps
+    the prefix below itself and drops one that maps it above.  The least
+    valid assignment at any bound is the least of its orbit, so neither
+    prune changes the value or the witness.
     The prunes by reason are counted in `count_prunes`, `hall_prunes` and
     `sym_prunes`.
 
@@ -105,10 +108,10 @@ class _MaxMinSearch:
     member.  Total passes cannot uncolor, so they take no cap.
 
     With `rank` the positions are the sets in rank_order(n), not in id
-    order: the cone masks, completion plans and S_n tables are conjugated
-    to match, and `best` is mapped back to ids.  Every argument above needs
-    only that no set comes after a superset, so the pass decides the same
-    bounds; its leaves are least in rank order instead."""
+    order: the cone masks, completion plans and permutation tables are
+    conjugated to match, and `best` is mapped back to ids.  Every argument
+    above needs only that no set comes after a superset, so the pass
+    decides the same bounds; its leaves are least in rank order instead."""
 
     def __init__(self, n, l, members, mode, partial, budget, sym, cap, rank=False):
         self.size = 1 << n
@@ -119,13 +122,15 @@ class _MaxMinSearch:
         self.nodes = 0
         self.count_prunes = self.hall_prunes = self.sym_prunes = 0
         self.sym = bool(sym)
-        # waiting[w]: (inv, t) for a permutation whose image of the prefix
-        # equals it before position t; inv[t] is the set the image puts at t.
-        # The tables are used as the inverses: the list is closed under
-        # inversion, and the prune test does not depend on queue order.
+        # waiting[w]: (inv, t, rho, k) for a permutation whose image of the
+        # prefix, its colors renamed by rho, equals it before position t;
+        # inv[t] is the set the image puts at t.  The tables are used as the
+        # inverses: the list is closed under inversion, and the prune test
+        # does not depend on queue order.
         self.waiting = [[] for _ in range(self.size)]
         if self.sym:
-            self.waiting[0] = [(inv, 0) for inv in _permutation_tables(n, rank)]
+            unnamed = (0,) + (l + 1,) * l
+            self.waiting[0] = [(inv, 0, unnamed, 0) for inv in _permutation_tables(n, rank)]
         # where[s]: the position of set s, when positions are not ids
         self.where = rank_positions(n) if rank else None
         self.assign = [0] * self.size
@@ -155,24 +160,34 @@ class _MaxMinSearch:
     def _untie(self, p: int) -> list[int] | None:
         """Advance the permutations waiting on position p, just placed.
         Returns the positions they now wait on, for the caller to pop on
-        backtrack, or None when one maps the prefix below itself."""
+        backtrack, or None when one maps the prefix below itself.  The
+        image's colors are renamed in order of first use, as the prefix's
+        own are: the k names given so far are 1..k, rho[c] is the name of
+        raw color c, and it is l + 1 while c is unseen (0 stays 0)."""
         assign, waiting = self.assign, self.waiting
         moved = []
-        for inv, t in waiting[p]:
+        for inv, t, rho, k in waiting[p]:
             while True:
                 q = inv[t]
                 w = q if q > t else t
                 if w > p:
-                    waiting[w].append((inv, t))
+                    waiting[w].append((inv, t, rho, k))
                     moved.append(w)
                     break
-                b, a = assign[q], assign[t]
-                if b > a:
+                c, a = assign[q], assign[t]
+                b = rho[c]
+                if b > k:
+                    # c is unseen and takes the next name
+                    b = k + 1
+                    if b == a:
+                        rho = rho[:c] + (b,) + rho[c + 1:]
+                        k = b
+                if b != a:
+                    if b < a:
+                        for v in moved:
+                            waiting[v].pop()
+                        return None
                     break
-                if b < a:
-                    for v in moved:
-                        waiting[v].pop()
-                    return None
                 t += 1
         return moved
 
@@ -203,7 +218,8 @@ class _MaxMinSearch:
                     target = allowed[d] & inc & above if d != c else 0
                     if target:
                         others = [m for b, m in placed if b != d]
-                        allowed[d] &= ~antichain_reach(others, need, target, incomp)
+                        if len(others) >= need:
+                            allowed[d] &= ~antichain_reach(others, need, target, incomp)
         return saved
 
     def _dfs(self, pos: int, used: int) -> bool:
@@ -232,31 +248,36 @@ class _MaxMinSearch:
                     return False
                 deficit += d
                 short.append((free, d))
-        if deficit > self.size - pos:
+        room = self.size - pos
+        if deficit > room:
             self.count_prunes += 1
             return False
         if len(short) > 1:
             # Hall: each union of two or more short colors' domains holds
             # their deficits; unions of the first colors are extended by
             # the next one, so l short colors take 2^l - l - 1 ORs
-            unions = short[:1]
-            for free, d in short[1:]:
+            (u, need), *rest = short
+            unions, needs = [u], [need]
+            for free, d in rest:
                 for i in range(len(unions)):
-                    u, need = unions[i]
-                    u |= free
-                    need += d
+                    u = unions[i] | free
+                    need = needs[i] + d
                     if u.bit_count() < need:
                         self.hall_prunes += 1
                         return False
-                    unions.append((u, need))
-                unions.append((free, d))
+                    unions.append(u)
+                    needs.append(need)
+                unions.append(free)
+                needs.append(d)
         moved = None
         if self.sym and pos:
             moved = self._untie(pos - 1)
             if moved is None:
                 self.sym_prunes += 1
                 return False
-        if self.partial:
+        # left uncolored, pos must leave room for the deficit, or the child
+        # fails its count bound at once
+        if self.partial and deficit < room:
             if self._dfs(pos + 1, used):
                 return True
         assign, color_mask, partial = self.assign, self.color_mask, self.partial
@@ -319,13 +340,12 @@ def instance_label(n: int, l: int, spec: str, kind: str) -> str:
     return f"{'F' if kind == 'total' else 'f'}({n},{l},{spec.replace(',', '+')})"
 
 
-def _construction_seed(n: int, l: int, forbidden: PosetFamily, kind: str):
-    """Best valid lower-bound witness any generator or WITNESSES entry
-    provides, or None.  Induced families are recognised by their
+def _seed_candidates(n: int, l: int, forbidden: PosetFamily, kind: str):
+    """The (coloring, source) pairs the generators and WITNESSES offer as
+    seeds, valid or not.  Induced families are recognised by their
     builtin_key, so every spelling of a family (builtin names in any order,
     "+"-sums, JSON objects, members with more than l elements added) gets
-    the same seed.  A candidate is kept only when the family certifies it:
-    that is the one validity check."""
+    the same candidates."""
     mems = forbidden.members
     induced = forbidden.mode == "induced"
     key = forbidden.builtin_key(l) if induced else None
@@ -354,12 +374,20 @@ def _construction_seed(n: int, l: int, forbidden: PosetFamily, kind: str):
     if key and len(key) == 1 and (entry := (n, l, key[0], kind)) in WITNESSES:
         candidates.append((Coloring(n, l, WITNESSES[entry][1]),
                            f"witness:{instance_label(*entry)}"))
+    return candidates
 
+
+def _construction_seed(n: int, l: int, forbidden: PosetFamily, kind: str):
+    """(value, coloring, source) of the first best candidate the family
+    certifies, or None.  certified_min is the one validity check, and a
+    candidate whose smallest class cannot beat the best certified one is
+    not checked."""
     best = None
-    for col, source in candidates:
-        value = forbidden.certified_min(col, kind)
-        if value is not None and (best is None or value > best[0]):
-            best = (value, col, source)
+    for col, source in _seed_candidates(n, l, forbidden, kind):
+        if best is None or class_stats(col).min_size > best[0]:
+            value = forbidden.certified_min(col, kind)
+            if value is not None:
+                best = (value, col, source)
     return best
 
 
@@ -449,10 +477,12 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
     # a pass cut short proves nothing above its incumbent; with no witness
     # lo is -1, and a finished pass proves no valid coloring exists
     status, hi = ("optimal", lo) if finished else ("lower_bound_only", upper)
+    # a seed's witness was certified when it was chosen
     if witness is None:
         if finished:
             source = "infeasible"
-    elif (got := forbidden.certified_min(witness, kind)) is None or got < lo:
+    elif source == "search" and ((got := forbidden.certified_min(witness, kind)) is None
+                                 or got < lo):
         raise AssertionError("internal error: unsound witness")
     return SolveResult(lo, hi, witness, status, sum(passes.values()), cap, source, prunes,
                        passes)

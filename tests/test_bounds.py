@@ -197,18 +197,25 @@ def test_stage_overlap_comparison_flags_violations():
 
 def test_eq_sweep_compares_the_exact_product(monkeypatch):
     # the sweep is empty on the real bound, so check what it compares and
-    # that whatever the comparison flags is reported
+    # that whatever the comparison flags is reported.  Its one gcd call per
+    # (l, i) sees the unreduced product.  A negative gcd leaves the reduced
+    # denominator negative, which reverses the sweep's integer comparison;
+    # the bound holds strictly at every pair, so exactly the pairs given
+    # one then exceed it
+    pairs = [(l, i) for l in range(2, 41) for i in range(1, l)]
+    flagged = [(l, i) for l, i in pairs if (l + i) % 3 == 0]
     seen = []
 
-    def record(l, i, num, den):
+    def reduce(num, den):
+        l, i = pairs[len(seen)]
         seen.append((l, i, Fraction(num, den)))
-        return (l + i) % 3 == 0
+        g = math.gcd(num, den)
+        return -g if (den < 0) != ((l, i) in flagged) else g
 
-    monkeypatch.setattr(bounds, "_stage_overlap_exceeds", record)
+    monkeypatch.setattr(bounds, "gcd", reduce)
     got = eq_sweep(40)
-    pairs = [(l, i) for l in range(2, 41) for i in range(1, l)]
     assert seen == [(l, i, _ref_squared_ratio_product(l, i)) for l, i in pairs]
-    assert got == [(l, i) for l, i in pairs if (l + i) % 3 == 0]
+    assert got == flagged
 
 
 def test_known_value_table():
