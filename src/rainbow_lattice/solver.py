@@ -43,6 +43,10 @@ class BudgetExceeded(Exception):
     pass
 
 
+# clique walks a search keeps before it empties its memo
+WALK_MEMO_LIMIT = 1 << 16
+
+
 @dataclass
 class SolveResult:
     value: int
@@ -79,7 +83,12 @@ class _MaxMinSearch:
     already placed, so no placement ever completes one.  Placing s removes
     the later sets that complete a copy whose second-largest set is s (see
     kernel.completion_plans and kernel.antichain_reach); a one-element
-    member leaves no set to any color.
+    member leaves no set to any color.  The clique walk of an induced A_k is
+    linear in its target, so `walks` keeps, for each (s, need, *masks), the
+    complement of the walk on every set above s, and the same masks met
+    again, in another subtree or for another color, cost one lookup.  The
+    memo empties itself once it holds WALK_MEMO_LIMIT walks, so its memory
+    is bounded; `walks_made` and `walks_reused` count its misses and hits.
 
     A color still short of m by d sets needs d of the sets left in its
     domain, and by Hall's condition every set of two or more short colors
@@ -142,6 +151,9 @@ class _MaxMinSearch:
         induced = mode == "induced"
         cliques = [p for p in members if induced and p.is_antichain() and p.size >= 4]
         self.needs = tuple(sorted({p.size - 2 for p in cliques}))
+        # (s, need, *masks) -> ~ the sets above s that complete a clique
+        self.walks = {}
+        self.walks_made = self.walks_reused = 0
         self.plans = tuple(plan for p in members if p not in cliques
                            for plan in completion_plans(p, induced, n, rank))
         self.full = (1 << self.size) - 1
@@ -149,11 +161,13 @@ class _MaxMinSearch:
 
     def run(self, m: int) -> bool:
         """Search from bound m until m passes the cap or the tree is
-        exhausted; False when the node budget runs out first."""
+        exhausted; False when the node budget or Python's recursion limit
+        (one frame per set) runs out first.  Either way the pass keeps its
+        incumbent."""
         self.m = m
         try:
             self._dfs(0, 0)
-        except BudgetExceeded:
+        except (BudgetExceeded, RecursionError):
             return False
         return True
 
@@ -206,20 +220,30 @@ class _MaxMinSearch:
         if self.needs:
             # an induced A_k: each other color d loses the sets above s that
             # complete a clique with s and k - 2 placed sets of colors other
-            # than c and d
-            incomp = self.incomp
+            # than c and d: one walk on all of them per (s, need, masks),
+            # kept in `walks`
+            incomp, walks = self.incomp, self.walks
             inc = incomp[s]
+            later = inc & above
             placed = [(b, m) for b, cm in enumerate(color_mask)
                       if b != c and (m := cm & inc)]  # color 0 has no sets
             for need in self.needs:
                 if len(placed) < need:
                     break
                 for d in range(1, l + 1):
-                    target = allowed[d] & inc & above if d != c else 0
-                    if target:
+                    if d != c and allowed[d] & later:
                         others = [m for b, m in placed if b != d]
                         if len(others) >= need:
-                            allowed[d] &= ~antichain_reach(others, need, target, incomp)
+                            key = (s, need, *others)
+                            keep = walks.get(key)
+                            if keep is None:
+                                if len(walks) >= WALK_MEMO_LIMIT:
+                                    walks.clear()
+                                keep = walks[key] = ~antichain_reach(others, need, later, incomp)
+                                self.walks_made += 1
+                            else:
+                                self.walks_reused += 1
+                            allowed[d] &= keep
         return saved
 
     def _dfs(self, pos: int, used: int) -> bool:
@@ -406,9 +430,13 @@ def solve_min_class(n: int, l: int, forbidden: PosetFamily, kind: str = "partial
     incumbent.  The budget covers both passes, the rank-order refutation
     of a seed and the id-order climb; `passes` counts the nodes of each.
     Budget 0 runs the set-up and seeding only; a negative budget is an
-    error.  Witnesses found by search are the lexicographically least
-    valid assignment at the optimum; a witness taken straight from a
-    construction or from WITNESSES is reported via seed_source, and
+    error.  The search takes one stack frame per set, so from n = 10 a pass
+    can reach Python's recursion limit; it then stops as one out of budget
+    does, keeping its incumbent: f(13,2,P2) at budget 100,000 gives
+    lower_bound_only, value 2048 and upper 4096 from construction:traces.
+    Witnesses found by search are the lexicographically least valid
+    assignment at the optimum; a witness taken straight from a construction
+    or from WITNESSES is reported via seed_source, and
     use_construction_seed=False turns both seeds off.
     The search forward-checks rainbow copies with the kernel's cone masks
     at every n.

@@ -284,6 +284,17 @@ def test_huge_color_count_answers_at_once(tmp_path, capsys):
     assert err.startswith("error: ") and "COLOR_CAP" in err
 
 
+def test_deep_solve_exits_0_with_its_seed(capsys):
+    # the search recurses once per set; a solve that reaches Python's
+    # recursion limit stops as one out of budget does, with no traceback
+    assert run_cli("solve", "--n", "13", "--colors", "2", "--forbid", "P2",
+                   "--budget", "100000") == 0
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert (out["status"], out["value"], out["upper"]) == ("lower_bound_only", 2048, 4096)
+    assert "Traceback" not in captured.err
+
+
 def test_budget_zero_is_a_set_up_call(capsys):
     assert run_cli("solve", "--n", "4", "--colors", "2", "--forbid", "A2", "--budget", "0") == 0
     out = json.loads(capsys.readouterr().out)

@@ -310,6 +310,21 @@ def test_antichain_reach_is_the_union_over_cliques(case, need, target):
     assert antichain_reach(masks, need, target, mask_tables(n).incomp) == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(antichain_cases(), st.integers(1, 4), st.integers(0, (1 << 16) - 1))
+def test_antichain_reach_is_linear_in_its_target(case, need, target):
+    # the walk on a target is the walk on every set, cut to the target: the
+    # solver keeps one walk per (set, masks) and reuses it for any target
+    n, _, l, assign = case
+    size = 1 << n
+    target &= (1 << size) - 1
+    masks = [m for c in range(1, l + 1)
+             if (m := sum(1 << s for s in range(size) if assign[s] == c))]
+    incomp = mask_tables(n).incomp
+    everything = antichain_reach(masks, need, (1 << size) - 1, incomp)
+    assert antichain_reach(masks, need, target, incomp) == target & everything
+
+
 @pytest.mark.parametrize("spec", ["P2", "A2", "P3", "A3", "V2", "W2", "P2+A1", "A4", "A6", "D2"])
 @pytest.mark.parametrize("induced", [True, False])
 def test_domain_rules_reach_only_later_sets(spec, induced):

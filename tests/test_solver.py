@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rainbow_lattice import kernel, solver
 from rainbow_lattice.coloring import Coloring, PosetFamily, class_stats, validate
+from rainbow_lattice.kernel import antichain_reach
 from rainbow_lattice.lattice import (CANONICAL_CAP, all_subset_permutation_tables,
                                      canonical_assignment, comparable, full_set,
                                      interval_members, Interval)
@@ -671,6 +672,95 @@ class TestSolveContract:
         res = solve_min_class(2, 2, PosetFamily.from_spec("A2"))
         data = res.to_json_dict()
         assert data["value"] == 2 and data["witness"]["colors"]
+
+    def test_recursion_limit_cuts_a_pass_short(self):
+        # the search takes one frame per set, so a pass that goes deeper
+        # than Python's recursion limit stops as one out of budget does:
+        # the solve keeps its seed and proves nothing above it
+        fam = PosetFamily.from_spec("P2")
+        seed = solver._construction_seed(13, 2, fam, "partial")
+        res = solve_min_class(13, 2, fam, budget=100_000)
+        assert (res.status, res.value, res.upper, res.seed_source) == (
+            "lower_bound_only", 2048, 4096, "construction:traces")
+        assert res.witness.assign == seed[1].assign
+        assert 0 < res.passes["refute"] < 100_000 and res.passes["climb"] == 0
+        fam = PosetFamily.from_spec("A3")
+        seed = solver._construction_seed(10, 3, fam, "partial")
+        res = solve_min_class(10, 3, fam, budget=100_000)
+        assert (res.status, res.value, res.upper, res.seed_source) == (
+            "lower_bound_only", seed[0], 341, seed[2])
+        assert res.nodes_explored < 100_000
+
+
+# induced A4 and A5 at n <= 4, alone and beside members that take
+# completion plans: every family here runs the clique walk
+_WALK_CASES = [(n, l, specs) for n in (3, 4)
+               for l, specs in ((4, ("A4",)), (5, ("A5",)), (5, ("A4", "A5")),
+                                (4, ("A4", "P2")), (5, ("A4", "D2")))]
+
+
+def _walk_searches(kind):
+    """A finished pass over each of _WALK_CASES in id and in rank order."""
+    searches = []
+    for n, l, specs in _WALK_CASES:
+        for rank in (False, True):
+            search = solver._MaxMinSearch(n, l, [build_poset(s) for s in specs], "induced",
+                                          kind == "partial", 10 ** 6, True, (1 << n) // l, rank)
+            assert search.run(0)
+            searches.append(search)
+    return searches
+
+
+def _pass_outputs(search):
+    return (search.best, search.nodes, search.count_prunes, search.hall_prunes,
+            search.sym_prunes)
+
+
+class TestCliqueWalkMemo:
+    @pytest.mark.parametrize("kind", ["partial", "total"])
+    def test_every_kept_walk_is_a_fresh_walk(self, kind):
+        # an entry is the complement of the walk on every set above s
+        kept = 0
+        for search in _walk_searches(kind):
+            incomp = search.incomp
+            for (s, need, *masks), keep in search.walks.items():
+                above = search.full & (-2 << s)
+                assert keep == ~antichain_reach(masks, need, incomp[s] & above, incomp)
+            assert search.walks_made == len(search.walks)
+            kept += len(search.walks)
+        assert kept > 0
+
+    @pytest.mark.parametrize("kind", ["partial", "total"])
+    def test_a_memo_of_one_walk_changes_nothing(self, kind, monkeypatch):
+        # emptied before every walk, the memo keeps at most one entry and
+        # every pass and solve gives the same leaves, nodes and prunes
+        def solves():
+            return [solve_min_class(n, l, PosetFamily(tuple(map(build_poset, specs)), "induced"),
+                                    kind=kind).to_json_dict() for n, l, specs in _WALK_CASES]
+
+        searches, results = _walk_searches(kind), solves()
+        monkeypatch.setattr(solver, "WALK_MEMO_LIMIT", 1)
+        capped = _walk_searches(kind)
+        assert list(map(_pass_outputs, capped)) == list(map(_pass_outputs, searches))
+        assert solves() == results
+        assert all(len(search.walks) <= 1 for search in capped)
+        assert sum(search.walks_made for search in capped) > sum(
+            search.walks_made for search in searches)
+
+    def test_walk_counters_pinned(self, monkeypatch):
+        # f(5,5,A5): 3,609 walks asked for on 2,372 nodes, 737 of them made
+        searches = []
+        run = solver._MaxMinSearch.run
+
+        def recording(self, m):
+            searches.append(self)
+            return run(self, m)
+
+        monkeypatch.setattr(solver._MaxMinSearch, "run", recording)
+        res = solve_min_class(5, 5, PosetFamily.from_spec("A5"))
+        assert (res.value, res.status, res.nodes_explored) == (6, "optimal", 2372)
+        (search,) = searches
+        assert (search.walks_made + search.walks_reused, search.walks_made) == (3609, 737)
 
 
 class TestOrderedSetPartitions:
