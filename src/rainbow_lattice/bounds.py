@@ -22,7 +22,6 @@ class FormulaValue:
     applicable: bool
     condition_note: str = ""
     source: str = ""
-    caveat: str = ""
 
 
 def m_of_l(l: int) -> int:
@@ -42,25 +41,34 @@ def equipartition_a(n: int, l: int) -> int:
     return l - r if r else l
 
 
-def formula_A2(n: int, l: int) -> FormulaValue:
-    """Exact max-min class size for l-colorings with no rainbow incomparable
-    pair, under the hypothesis l*log2(l) <= n (checked integer-exactly),
-    for n up to ANALYTIC_CAP."""
+def a2_hypothesis_note(n: int, l: int) -> str:
+    """Why (n, l) fails the closed form's hypothesis l*log2(l) <= n (checked
+    integer-exactly), or "" when it holds; n is refused beyond ANALYTIC_CAP."""
     check_dimension(n, analytic=True)
     if l < 1:
         raise ValueError(f"color count l={l} must be at least 1")
     # for l >= 2, l > n already gives l^l >= 2^l > 2^n: the powers are
     # computed only when l <= n, so a huge l answers at once
     if l > n or l ** l > 2 ** n:
-        return FormulaValue(None, False, f"requires l*log2(l) <= n; fails for (n={n}, l={l})",
-                            source="l-color incomparable-pair formula")
+        return f"requires l*log2(l) <= n; fails for (n={n}, l={l})"
+    return ""
+
+
+def formula_A2(n: int, l: int) -> FormulaValue:
+    """Exact max-min class size for l-colorings with no rainbow incomparable
+    pair, under the hypothesis l*log2(l) <= n and, for l >= 2, n >= 2l.
+
+    l*log2(l) <= n holds with 2 <= l and n < 2l only at (2, 2), (3, 2) and
+    (5, 3), where exhaustive search gives 2 (the closed form would give 1,
+    3 and 4); those answer not-applicable."""
+    source = "l-color incomparable-pair formula"
+    if note := a2_hypothesis_note(n, l):
+        return FormulaValue(None, False, note, source=source)
+    if l >= 2 and n < 2 * l:
+        return FormulaValue(None, False, f"requires n >= 2l; exhaustive search gives 2 "
+                            f"at (n={n}, l={l})", source=source)
     a = equipartition_a(n, l)
-    value = 2 ** (n // l) - 2 + (l + 1) // a
-    caveat = ""
-    if l == 2 and n in (2, 3):
-        caveat = "small-n exception: exhaustive search disagrees with the formula here"
-    return FormulaValue(value, True, f"a={a}", source="l-color incomparable-pair formula",
-                        caveat=caveat)
+    return FormulaValue(2 ** (n // l) - 2 + (l + 1) // a, True, f"a={a}", source=source)
 
 
 def binary_entropy(x: float) -> float:
@@ -208,8 +216,7 @@ def known_value(n: int, l: int, forbidden_spec: str, kind: str = "partial") -> F
     be spelled any way PosetFamily.from_spec reads (builtin names in any
     order, "+"-sums, JSON objects, members with more than l elements added):
     it is looked up by its builtin_key(l), and a malformed spec or l < 1 is a
-    ValueError.  Values carry a source tag and a caveat when small-n
-    exhaustive search is known to disagree.  Anything uncovered, a member
+    ValueError.  Values carry a source tag.  Anything uncovered, a member
     that is no builtin or a family with no member left included, comes back
     not-applicable.  n is refused beyond ANALYTIC_CAP.
     """
@@ -228,7 +235,7 @@ def known_value(n: int, l: int, forbidden_spec: str, kind: str = "partial") -> F
         fv = formula_A2(n, l)
         if l == 2 and fv.applicable:
             return FormulaValue(fv.value, True, fv.condition_note,
-                                source="two-color incomparable-pair value", caveat=fv.caveat)
+                                source="two-color incomparable-pair value")
         return fv
     if key == ("P2",) and l == 2 and n >= 2:
         if kind == "partial":

@@ -166,7 +166,7 @@ def _cmd_bounds(args) -> int:
     elif op == "formulaA2":
         fv = bounds_mod.formula_A2(args.n, args.l)
         out = {"n": args.n, "l": args.l, "value": fv.value, "applicable": fv.applicable,
-               "note": fv.condition_note, "caveat": fv.caveat}
+               "note": fv.condition_note}
     elif op == "entropy":
         out = {"x": args.x, "h": bounds_mod.binary_entropy(args.x)}
     elif op == "c0":
@@ -178,7 +178,7 @@ def _cmd_bounds(args) -> int:
     elif op == "known":
         fv = bounds_mod.known_value(args.n, args.l, args.forbid, **_set(args, "kind"))
         out = {"value": fv.value, "applicable": fv.applicable, "source": fv.source,
-               "note": fv.condition_note, "caveat": fv.caveat}
+               "note": fv.condition_note}
     _emit(out, args)
     return 0
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .bounds import equipartition_a, formula_A2, m_of_l
+from .bounds import a2_hypothesis_note, equipartition_a, formula_A2, m_of_l
 from .coloring import Coloring, PosetFamily
 from .lattice import (check_colors, check_dimension, full_set, is_proper_subset, is_subset,
                       submasks_ascending, subset_of)
@@ -142,11 +142,11 @@ def chain_interval_coloring(n: int, l: int) -> ConstructionReport:
     over the classes whose interval has the small dimension floor(n/l).
 
     Any two sets colored differently are nested, so no rainbow incomparable
-    pair exists.  Requires l*log2(l) <= n.
+    pair exists.  Requires l*log2(l) <= n; formula_min is None where the
+    closed form does not apply.
     """
-    formula = formula_A2(n, l)
-    if not formula.applicable:
-        raise ValueError(formula.condition_note)
+    if note := a2_hypothesis_note(n, l):
+        raise ValueError(note)
     check_dimension(n)
     a = equipartition_a(n, l)
     sets = [0]
@@ -169,12 +169,13 @@ def chain_interval_coloring(n: int, l: int) -> ConstructionReport:
     dims = [(sets[i] & ~sets[i - 1]).bit_count() for i in range(1, l + 1)]
     shares = [sum(1 for t in range(l + 1) if t % a == i) for i in range(l)]
     sizes = tuple((2 ** dims[i] - 2) + shares[i] for i in range(l))
+    formula = formula_A2(n, l).value
     return ConstructionReport(
         name="chain", n=n, l=l,
         forbidden=PosetFamily((antichain(2),), "induced"), certificate="structural",
-        class_sizes=sizes, coloring=col, formula_min=formula.value,
+        class_sizes=sizes, coloring=col, formula_min=formula,
         params={"a": a, "chain": sets, "dims": dims},
-        notes="" if min(sizes) == formula.value else
+        notes="" if formula in (None, min(sizes)) else
         "closed form exceeds this construction's minimum at this (n, l)",
     )
 

@@ -423,11 +423,6 @@ class RainbowKernel:
                 return True
         return False
 
-    def copy_using(self, poset: Poset, x: int, required) -> bool:
-        """A rainbow copy of poset through every set of `required` (x among
-        them), other sets above x: least_using with the one candidate x."""
-        return self.least_using(poset, set(required) - {x}, 1 << x) == x
-
     def least_using(self, poset: Poset, required, cand: int) -> int | None:
         """The least x of the mask cand such that a rainbow copy of poset
         uses x and every set of `required` (colored; x may be one of them)

@@ -2,8 +2,7 @@
 claim and numeric inequality as a computed check.
 
 Claims are hard (a mismatch fails the suite) or flagged-informational
-(reported only; used where small-case exhaustive search is known to
-disagree with the closed forms, and for the root-interval discrepancy).
+(reported only; used for the root-interval discrepancy).
 """
 
 from __future__ import annotations
@@ -248,17 +247,6 @@ def _formula_spots_claim(seed, full, budget):
     return (3, 3, 5, False), vals, None, ""
 
 
-def _flagged_small_A2_claim(n):
-    def run(seed, full, budget):
-        fam = PosetFamily.from_spec("A2")
-        res = solve_min_class(n, 2, fam, kind="partial")
-        expected = bounds.formula_A2(n, 2).value
-        note = "closed form disagrees with exhaustive search at this n" \
-            if res.value != expected else ""
-        return expected, res.value, None, note
-    return run
-
-
 def _witness_table_claim(seed, full, budget):
     """Each solver.WITNESSES entry, replayed: its value where the coloring
     has no rainbow copy (and no uncolored set for a total entry), else
@@ -317,8 +305,7 @@ def _order_grid():
 
 
 def _order_properties_claim(seed, full, budget):
-    # The (n=2, k=2) sandwich pair touches the known small-n two-color
-    # anomaly and is reported by its own flagged claim instead.
+    # The sandwich fails at (n=2, k=2); order/sandwich-n2 checks that pair.
     vals = _order_grid()
     violations = []
     for n in (2, 3):
@@ -339,11 +326,10 @@ def _order_properties_claim(seed, full, budget):
 def _sandwich_n2_claim(seed, full, budget):
     f22 = solve_min_class(2, 2, PosetFamily.from_spec("A2"), kind="partial").value
     big23 = solve_min_class(2, 3, PosetFamily.from_spec("A3"), kind="total").value
-    note = ("no antichain of size 3 exists in B_2, so every total 3-coloring "
-            "is valid and the ceiling floor(4/3)=1 caps the total value, "
-            "while the exhaustive two-color partial value is 2")
-    return "f(2,2,A2) <= F(2,3,A3)", f"{f22} <= {big23} is {f22 <= big23}", \
-        "MATCH" if f22 <= big23 else "MISMATCH", note
+    note = ("(f(2,2,A2), F(2,3,A3)): no antichain of size 3 exists in B_2, so "
+            "every total 3-coloring is valid and the ceiling floor(4/3)=1 caps "
+            "the total value below the partial value 2")
+    return (2, 1), (f22, big23), None, note
 
 
 def _congen_sizes_claim(seed, full, budget):
@@ -430,7 +416,9 @@ def _solver_claim(n, l, spec, kind="partial", full_only=False, value=None, sourc
     return _ClaimSpec(name, source, True, full_only, run)
 
 
-_ORBIT_HALL = "exhaustive search, S_5 orbit + Hall pruning"
+_LEX_HALL = ("exhaustive search, lex-leader pruning under element and color "
+             "permutations + Hall bound")
+_SMALL_A2 = "exhaustive search; the closed form needs n >= 2l"
 
 
 _CLAIMS: list[_ClaimSpec] = [
@@ -451,14 +439,15 @@ _CLAIMS: list[_ClaimSpec] = [
     _solver_claim(3, 4, "D2", "total"),
     _solver_claim(3, 4, "D2"),
     _solver_claim(4, 4, "P4"),
-    _ClaimSpec("solve/f(2,2,A2)", _KV(2, 2, "A2").source, False, False, _flagged_small_A2_claim(2)),
-    _ClaimSpec("solve/f(3,2,A2)", _KV(3, 2, "A2").source, False, False, _flagged_small_A2_claim(3)),
+    _solver_claim(2, 2, "A2", value=2, source=_SMALL_A2),
+    _solver_claim(3, 2, "A2", value=2, source=_SMALL_A2),
+    _solver_claim(5, 3, "A2", full_only=True, value=2, source=_SMALL_A2),
     _solver_claim(5, 2, "A2"),
     _solver_claim(4, 2, "A2"),
     _solver_claim(4, 2, "P2"),
     _solver_claim(5, 2, "P2"),
-    _solver_claim(5, 3, "A3", full_only=True, value=7, source=_ORBIT_HALL),
-    _solver_claim(5, 3, "P3", full_only=True, value=8, source=_ORBIT_HALL),
+    _solver_claim(5, 3, "A3", full_only=True, value=7, source=_LEX_HALL),
+    _solver_claim(5, 3, "P3", full_only=True, value=8, source=_LEX_HALL),
     _ClaimSpec("solve/witness-table", "the search's least witnesses, checked in", True, True,
                _witness_table_claim),
     _ClaimSpec("construct/chain-values", _KV(4, 2, "A2").source, True, False,
@@ -489,8 +478,8 @@ _CLAIMS: list[_ClaimSpec] = [
                True, False, _cover_claim),
     _ClaimSpec("order/properties", "total<=partial, sandwich, monotone, ceiling",
                True, False, _order_properties_claim),
-    _ClaimSpec("order/sandwich-n2", "sandwich at the small-n two-color anomaly",
-               False, False, _sandwich_n2_claim),
+    _ClaimSpec("order/sandwich-n2", "sandwich counterexample at n = 2", True, False,
+               _sandwich_n2_claim),
     _ClaimSpec("congen/sizes", "interval class sizes by inclusion-exclusion",
                True, False, _congen_sizes_claim),
     _ClaimSpec("congen/freeness", "same-chain colors are nested", True, False,

@@ -12,6 +12,8 @@ from rainbow_lattice.bounds import (_stage_overlap_exceeds, binary_entropy, c0_e
                                     delta_l, delta_sequence, eq_inequality_check, eq_sweep,
                                     formula_A2, g_of_l, known_value, m_of_l,
                                     solve_c0, squared_ratio_product)
+from rainbow_lattice.coloring import PosetFamily
+from rainbow_lattice.solver import solve_min_class
 
 
 def test_m_of_l():
@@ -39,10 +41,19 @@ def test_formula_A2_matches_two_color_closed_forms():
         assert formula_A2(n, 2).value == 2 ** (n // 2) + 1
 
 
-def test_formula_A2_small_n_caveat():
-    assert formula_A2(2, 2).caveat
-    assert formula_A2(3, 2).caveat
-    assert not formula_A2(4, 2).caveat
+def test_formula_A2_agrees_with_exhaustive_search():
+    # the pairs 2 <= l <= n <= 6 with l*log2(l) <= n; where also n < 2l the
+    # closed form does not apply and exhaustive search gives 2
+    want = {(4, 2): 3, (5, 2): 5, (6, 2): 7, (6, 3): 3,
+            (2, 2): None, (3, 2): None, (5, 3): None}
+    for n in range(2, 7):
+        for l in range(2, n + 1):
+            value = want.get((n, l))
+            fv = formula_A2(n, l)
+            assert (fv.value, fv.applicable) == (value, value is not None), (n, l)
+            if (n, l) in want:
+                solved = solve_min_class(n, l, PosetFamily.from_spec("A2"))
+                assert (solved.status, solved.value) == ("optimal", value or 2), (n, l)
 
 
 def test_binary_entropy():
@@ -228,7 +239,8 @@ def test_known_value_table():
     assert not known_value(5, 3, "P3", "partial").applicable
     assert known_value(3, 3, "W2,P3,V2").value == 2      # order-insensitive key
     assert known_value(6, 4, "D2").value == known_value(6, 4, "D2", "total").value == 16
-    assert known_value(2, 2, "A2").caveat
+    for n, l in ((2, 2), (3, 2), (5, 3)):
+        assert not known_value(n, l, "A2").applicable
     assert known_value(10, 5, "P5").value == 1024 // 5
     with pytest.raises(ValueError):
         known_value(3, 2, "A2", "half")

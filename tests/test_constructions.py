@@ -72,12 +72,15 @@ class TestChainInterval:
         assert validate(rep.coloring, rep.forbidden) is None
 
     def test_small_n_divergence(self):
-        # at (3,2) the construction's true minimum sits below the closed form
+        # at (3,2) the closed form does not apply; the construction still
+        # meets the exhaustive value 2
         rep = chain_interval_coloring(3, 2)
-        assert rep.min_size == 2
-        assert rep.formula_min == 3
+        assert (rep.min_size, rep.formula_min, rep.notes) == (2, None, "")
         assert class_stats(rep.coloring).min_size == 2
         assert validate(rep.coloring, rep.forbidden) is None
+        # at (11,4) the closed form exceeds the construction's minimum
+        rep = chain_interval_coloring(11, 4)
+        assert (rep.min_size, rep.formula_min) == (6, 7)
         assert "exceeds" in rep.notes
 
     def test_precondition(self):

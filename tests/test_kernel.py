@@ -110,7 +110,8 @@ def test_copy_using_agrees_with_oracle(case):
     req = {x, *others}
     tuples = [t for t in _tuples(n, spec, mode)
               if req <= set(t) and all(s > x for s in set(t) - req)]
-    assert kernel.copy_using(poset, x, [x, *others]) == oracle_has_rainbow(assign, tuples)
+    found = kernel.least_using(poset, set(others), 1 << x) == x
+    assert found == oracle_has_rainbow(assign, tuples)
 
 
 # seeded n = 5 colorings, about 40% of the sets colored; P2+A1 in weak mode
